@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
-	"repro/internal/mds"
+	"repro/internal/lcc"
 	"repro/internal/verify"
 )
 
@@ -75,15 +75,16 @@ func gateKernels(t *testing.T) map[string]func() {
 	}
 	_ = dotSink
 
-	// MDS codec cells under both moduli: "paper" is the Lagrange layout,
-	// "ntt" the subgroup fast path — the same split the artifact records.
+	// MDS codec cells — the (12,9) Lagrange code with T = 0, deg f = 1 —
+	// under both moduli: "paper" is the Lagrange layout, "ntt" the subgroup
+	// layout, the same split the artifact records.
 	for _, mod := range []struct {
 		name string
 		f    *field.Field
 	}{{"paper", field.Default()}, {"ntt", field.NTTFriendly()}} {
-		code, err := mds.New(mod.f, 12, 9)
+		code, err := lcc.New(mod.f, 12, 9, 0, 1)
 		if err != nil {
-			t.Fatalf("mds.New on %s modulus: %v", mod.name, err)
+			t.Fatalf("lcc.New on %s modulus: %v", mod.name, err)
 		}
 		if wantFast := mod.name == "ntt"; code.NTTAccelerated() != wantFast {
 			t.Fatalf("%s modulus: NTTAccelerated = %v, want %v", mod.name, !wantFast, wantFast)
@@ -97,7 +98,7 @@ func gateKernels(t *testing.T) map[string]func() {
 		}
 		decoded := make([]field.Elem, 9*gateRows)
 		kernels["MDSEncode/"+mod.name] = func() {
-			if err := code.EncodeMatrixInto(shards, encData); err != nil {
+			if err := code.EncodeMatrixInto(shards, encData, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
-	"repro/internal/mds"
+	"repro/internal/lcc"
 	"repro/internal/verify"
 )
 
@@ -134,8 +134,8 @@ type kernelBenchRecord struct {
 	Kernel  string `json:"kernel"`
 	Variant string `json:"variant"` // "lazy" (production) or "ref" (seed)
 	// Modulus names the prime field the cell ran on: "paper" (q = 2²⁵−39,
-	// Lagrange codecs) or "ntt" (q = 11·2²¹+1, the subgroup fast path in
-	// internal/mds). Every cell exists for "paper"; the MDS codec cells run
+	// Lagrange layout) or "ntt" (q = 11·2²¹+1, the subgroup layout of
+	// internal/lcc). Every cell exists for "paper"; the MDS codec cells run
 	// under both so the artifact tracks the two encode pipelines side by
 	// side.
 	Modulus string `json:"modulus"`
@@ -178,8 +178,8 @@ func kernelCell(b *testing.B, records map[string]*kernelBenchRecord, iters map[s
 	})
 }
 
-// mdsCells runs the MDS codec cells at the paper's (12,9) GISETTE shape on
-// the given field. The encode cells encode a 6003×1000 matrix into
+// mdsCells runs the MDS codec cells — the (12,9) Lagrange code with T = 0,
+// deg f = 1 — at the paper's GISETTE shape on the given field. The encode cells encode a 6003×1000 matrix into
 // caller-owned shards (EncodeMatrixInto: zero steady-state allocations on
 // both layouts); the decode cells recover the 9 blocks of a dim-667 round
 // from a non-systematic survivor set through the warmed plan cache. On the
@@ -187,7 +187,7 @@ func kernelCell(b *testing.B, records map[string]*kernelBenchRecord, iters map[s
 // record Lagrange numbers under the "ntt" label and poison the artifact.
 func mdsCells(b *testing.B, records map[string]*kernelBenchRecord, iters map[string]int, f *field.Field, modulus string, rng *rand.Rand) {
 	b.Helper()
-	code, err := mds.New(f, 12, 9)
+	code, err := lcc.New(f, 12, 9, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func mdsCells(b *testing.B, records map[string]*kernelBenchRecord, iters map[str
 	encData := fieldmat.Rand(f, rng, 6003, 1000)
 	shards := make([]*fieldmat.Matrix, 12)
 	kernelCell(b, records, iters, "MDSEncode", "lazy", modulus, "(12,9) 6003x1000", func() {
-		if err := code.EncodeMatrixInto(shards, encData); err != nil {
+		if err := code.EncodeMatrixInto(shards, encData, nil); err != nil {
 			b.Fatal(err)
 		}
 	})

@@ -35,7 +35,7 @@ func main() {
 	trainN := flag.Int("train-n", 0, "override training sample count m")
 	features := flag.Int("features", 0, "override feature count d")
 	seed := flag.Int64("seed", 0, "override experiment seed")
-	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt unlocks the O(N log N) encode path)")
+	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt puts every T = 0 code on the O(N log N) subgroup encode path)")
 	flag.Parse()
 
 	f, err := field.Select(*fieldName)

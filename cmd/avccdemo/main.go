@@ -32,7 +32,7 @@ func main() {
 	byzantine := flag.Int("byzantine", 5, "worker id to corrupt (-1 for none)")
 	attackName := flag.String("attack", "reverse", "reverse | constant")
 	transport := flag.String("transport", "frames", "data-plane transport: frames | netrpc")
-	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt unlocks the O(N log N) encode path)")
+	fieldName := flag.String("field", "paper", "prime field: paper | ntt | a decimal modulus (ntt puts every T = 0 code on the O(N log N) subgroup encode path)")
 	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 

@@ -391,7 +391,9 @@ func (m *Master) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 
 	if m.issuer != nil {
 		// The receipt binds exactly what the decode consumed: the verified
-		// threshold set, at the CURRENT (possibly re-coded) split.
+		// threshold set, at the CURRENT (possibly re-coded) split. N is the
+		// code's length, not the active count: quarantine drops workers
+		// but the survivors keep their code positions.
 		rw := make([]commit.RoundWorker, len(verifiedWorkers))
 		alphas := m.code.Alphas()
 		for i, id := range verifiedWorkers {
@@ -404,7 +406,7 @@ func (m *Master) RunRoundBatch(ctx context.Context, key string, inputs [][]field
 		}
 		rec, rerr := m.issuer.Issue(commit.Round{
 			Key: key, Iter: iter, Batch: batch,
-			K: m.kCur, BlockRows: (m.origRows[key] + m.kCur - 1) / m.kCur,
+			N: m.code.N(), K: m.kCur, BlockRows: (m.origRows[key] + m.kCur - 1) / m.kCur,
 			Inputs: packed, Outputs: out.Outputs, Workers: rw,
 		})
 		if rerr != nil {

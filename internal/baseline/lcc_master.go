@@ -257,7 +257,7 @@ func (m *LCCMaster) RunRoundBatch(ctx context.Context, key string, inputs [][]fi
 		}
 		rec, rerr := m.issuer.Issue(commit.Round{
 			Key: key, Iter: iter, Batch: batch,
-			K: m.opt.K, BlockRows: (m.origRows[key] + m.opt.K - 1) / m.opt.K,
+			N: m.opt.N, K: m.opt.K, BlockRows: (m.origRows[key] + m.opt.K - 1) / m.opt.K,
 			Inputs: packed, Outputs: out.Outputs, Workers: rw,
 		})
 		if rerr != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/commit"
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/poly"
 	"repro/internal/simnet"
 )
 
@@ -23,8 +24,8 @@ type UncodedOptions struct {
 	Seed int64
 	// Receipts turns on the committed-verification plane: workers commit to
 	// their outputs and every round carries a tenant-verifiable receipt. The
-	// uncoded split is the systematic K-block code (worker i evaluates at
-	// point i+1), so the same receipt protocol covers it unchanged — and
+	// uncoded split is the systematic (K, K) block code (worker i evaluates
+	// at data point i), so the same receipt protocol covers it unchanged — and
 	// since the scheme itself never verifies anything, the receipt is the
 	// ONLY way a tenant catches a Byzantine worker here.
 	Receipts bool
@@ -44,6 +45,9 @@ type UncodedMaster struct {
 	// results back in worker order.
 	blockRows map[string]int
 	issuer    *commit.Issuer
+	// alphas are the receipt points: the uncoded split IS the (K, K)
+	// systematic code, so worker i holds the evaluation at its data point.
+	alphas []field.Elem
 }
 
 // NewUncodedMaster splits each data matrix into K contiguous uncoded row
@@ -74,6 +78,11 @@ func NewUncodedMaster(f *field.Field, opt UncodedOptions, data map[string]*field
 	}
 	if opt.Receipts {
 		m.issuer = commit.NewIssuer(f, m.Name())
+		layout, err := poly.CodeLayout(f, opt.K, opt.K, 0)
+		if err != nil {
+			return nil, fmt.Errorf("baseline: uncoded receipt points: %w", err)
+		}
+		m.alphas = layout.Alphas
 	}
 	for key, x := range data {
 		m.origRows[key] = x.Rows
@@ -159,12 +168,6 @@ func (m *UncodedMaster) RunRoundBatch(ctx context.Context, key string, inputs []
 	}
 	var lastArrival, maxCompute, maxComm float64
 	var rw []commit.RoundWorker
-	var alphas []field.Elem
-	if m.issuer != nil {
-		// The uncoded split IS the systematic part of the block code: worker
-		// i holds block i, i.e. the evaluation at interpolation point i+1.
-		alphas = m.f.DistinctPoints(m.opt.K, 1)
-	}
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("baseline: worker %d failed: %w", r.Worker, r.Err)
@@ -178,7 +181,7 @@ func (m *UncodedMaster) RunRoundBatch(ctx context.Context, key string, inputs []
 		}
 		if m.issuer != nil {
 			rw = append(rw, commit.RoundWorker{
-				ID: r.Worker, Alpha: alphas[r.Worker], Output: r.Output, Commit: r.Commit,
+				ID: r.Worker, Alpha: m.alphas[r.Worker], Output: r.Output, Commit: r.Commit,
 			})
 		}
 		out.Used = append(out.Used, r.Worker)
@@ -198,7 +201,7 @@ func (m *UncodedMaster) RunRoundBatch(ctx context.Context, key string, inputs []
 	if m.issuer != nil {
 		rec, rerr := m.issuer.Issue(commit.Round{
 			Key: key, Iter: iter, Batch: batch,
-			K: m.opt.K, BlockRows: blockLen,
+			N: m.opt.K, K: m.opt.K, BlockRows: blockLen,
 			Inputs: packed, Outputs: out.Outputs, Workers: rw,
 		})
 		if rerr != nil {

@@ -14,15 +14,18 @@ import (
 //
 // Layout (all integers uvarint, all hashes raw 32 bytes):
 //
-//	magic "AVR1"
+//	magic "AVR2"
 //	scheme, roundKey (length-prefixed strings)
 //	iter, batch, gram
 //	inputs (length-prefixed elem vector)
 //	group count, then per group:
-//	  digest{root, rows, cols, ext, q}, k, blockRows
+//	  digest{root, rows, cols, ext, q}, n, k, blockRows
 //	  outputs, workers{id, alpha, outLen, root, aggregates, leaves},
 //	  u, v, u2, v2, columns
-var codecMagic = [4]byte{'A', 'V', 'R', '1'}
+//
+// Version 2 ("AVR2") added the code length n; version-1 blobs are rejected
+// with an explicit error rather than misparsed.
+var codecMagic = [4]byte{'A', 'V', 'R', '2'}
 
 type encoder struct{ buf []byte }
 
@@ -79,6 +82,7 @@ func EncodeReceipt(r *Receipt) []byte {
 		e.uvarint(uint64(g.Digest.Cols))
 		e.uvarint(uint64(g.Digest.Ext))
 		e.uvarint(g.Digest.Q)
+		e.uvarint(uint64(g.N))
 		e.uvarint(uint64(g.K))
 		e.uvarint(uint64(g.BlockRows))
 		e.elemMat(g.Outputs)
@@ -235,6 +239,9 @@ func (d *decoder) elemMat() ([][]field.Elem, error) {
 func DecodeReceipt(data []byte) (*Receipt, error) {
 	d := &decoder{buf: data}
 	magic, err := d.raw(len(codecMagic))
+	if err == nil && string(magic) == "AVR1" {
+		return nil, fmt.Errorf("commit: receipt wire format v1 (AVR1) is no longer accepted: v2 (AVR2) carries the code length N; re-issue the receipt")
+	}
 	if err != nil || string(magic) != string(codecMagic[:]) {
 		return nil, fmt.Errorf("commit: not a receipt (bad magic)")
 	}
@@ -282,6 +289,9 @@ func DecodeReceipt(data []byte) (*Receipt, error) {
 			return nil, err
 		}
 		if g.Digest.Q, err = d.uvarint(); err != nil {
+			return nil, err
+		}
+		if g.N, err = d.intVal(); err != nil {
 			return nil, err
 		}
 		if g.K, err = d.intVal(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/field"
@@ -11,12 +12,22 @@ import (
 	"repro/internal/poly"
 )
 
+// codeLayout returns the (n, k) code's point layout, failing the process on
+// a bad shape (test fixtures only).
+func codeLayout(f *field.Field, n, k int) *poly.Layout {
+	lay, err := poly.CodeLayout(f, n, k, 0)
+	if err != nil {
+		panic(err)
+	}
+	return lay
+}
+
 // codedShard returns the Lagrange-coded shard of x for evaluation point
-// alpha: Σ_k ℓ_k(alpha)·X_k over the padded split into k blocks — the same
-// encoding every master in this repo hands its workers.
-func codedShard(f *field.Field, x *fieldmat.Matrix, k int, alpha field.Elem) *fieldmat.Matrix {
+// alpha of the (n, k) code: Σ_k ℓ_k(alpha)·X_k over the padded split into
+// k blocks — the same encoding every master in this repo hands its workers.
+func codedShard(f *field.Field, x *fieldmat.Matrix, n, k int, alpha field.Elem) *fieldmat.Matrix {
 	blocks := fieldmat.SplitRows(fieldmat.PadRows(x, k), k)
-	wt := poly.InterpWeights(f, f.DistinctPoints(k, 1), alpha)
+	wt := poly.InterpWeights(f, codeLayout(f, n, k).Betas, alpha)
 	shard := fieldmat.NewMatrix(blocks[0].Rows, x.Cols)
 	for kk := range blocks {
 		shard.AXPY(f, wt[kk], blocks[kk])
@@ -34,7 +45,7 @@ func honestMatVec(seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
 	is.Commit("w", x)
 
 	b := (rows + k - 1) / k
-	alphas := f.DistinctPoints(n, 1)
+	alphas := codeLayout(f, n, k).Alphas
 	inputs := f.RandVec(rng, batch*cols)
 	outputs := make([][]field.Elem, batch)
 	for c := 0; c < batch; c++ {
@@ -42,7 +53,7 @@ func honestMatVec(seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
 	}
 	workers := make([]RoundWorker, n)
 	for i := range workers {
-		shard := codedShard(f, x, k, alphas[i])
+		shard := codedShard(f, x, n, k, alphas[i])
 		out := make([]field.Elem, 0, batch*b)
 		for c := 0; c < batch; c++ {
 			out = append(out, fieldmat.MatVec(f, shard, inputs[c*cols:(c+1)*cols])...)
@@ -50,7 +61,7 @@ func honestMatVec(seed int64, rows, cols, k, n, batch int) (*Issuer, Round) {
 		workers[i] = RoundWorker{ID: i, Alpha: alphas[i], Output: out, Commit: OutputRoot(out)}
 	}
 	return is, Round{
-		Key: "w", Iter: 3, Batch: batch, K: k, BlockRows: b,
+		Key: "w", Iter: 3, Batch: batch, N: n, K: k, BlockRows: b,
 		Inputs: inputs, Outputs: outputs, Workers: workers,
 	}
 }
@@ -70,15 +81,15 @@ func honestGram(seed int64, rows, cols, k, n int) (*Issuer, Round) {
 	for kk := range blocks {
 		decoded = append(decoded, fieldmat.MatMul(f, blocks[kk], blocks[kk].Transpose()).Data...)
 	}
-	alphas := f.DistinctPoints(n, 1)
+	alphas := codeLayout(f, n, k).Alphas
 	workers := make([]RoundWorker, n)
 	for i := range workers {
-		shard := codedShard(f, x, k, alphas[i])
+		shard := codedShard(f, x, n, k, alphas[i])
 		out := fieldmat.MatMul(f, shard, shard.Transpose()).Data
 		workers[i] = RoundWorker{ID: i, Alpha: alphas[i], Output: out, Commit: OutputRoot(out)}
 	}
 	return is, Round{
-		Key: "g", Iter: 0, Batch: 1, Gram: true, K: k, BlockRows: b,
+		Key: "g", Iter: 0, Batch: 1, Gram: true, N: n, K: k, BlockRows: b,
 		Outputs: [][]field.Elem{decoded}, Workers: workers,
 	}
 }
@@ -205,7 +216,7 @@ func TestFoldedReceiptVerifies(t *testing.T) {
 		rdB.Outputs[c] = fieldmat.MatVec(isB.f, xB, rdB.Inputs[c*xB.Cols:(c+1)*xB.Cols])
 	}
 	for i, w := range rdB.Workers {
-		shard := codedShard(isB.f, xB, rdB.K, w.Alpha)
+		shard := codedShard(isB.f, xB, rdB.N, rdB.K, w.Alpha)
 		out := make([]field.Elem, 0, rdB.Batch*rdB.BlockRows)
 		for c := 0; c < rdB.Batch; c++ {
 			out = append(out, fieldmat.MatVec(isB.f, shard, rdB.Inputs[c*xB.Cols:(c+1)*xB.Cols])...)
@@ -313,11 +324,63 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Non-minimal varint: 0x80 0x00 encodes 0 in two bytes.
-	if _, err := DecodeReceipt([]byte{'A', 'V', 'R', '1', 0x80, 0x00}); err == nil {
+	if _, err := DecodeReceipt([]byte{'A', 'V', 'R', '2', 0x80, 0x00}); err == nil {
 		t.Fatal("non-minimal varint accepted")
 	}
-	if _, err := DecodeReceipt([]byte{'X', 'V', 'R', '1'}); err == nil {
+	if _, err := DecodeReceipt([]byte{'X', 'V', 'R', '2'}); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestCodecRejectsV1 pins the wire-version bump: a version-1 blob (no code
+// length N) gets an explicit version error, not a misparse or a generic
+// bad-magic report.
+func TestCodecRejectsV1(t *testing.T) {
+	is, rd := honestMatVec(8, 18, 7, 3, 5, 1)
+	enc := EncodeReceipt(mustIssue(t, is, rd))
+	copy(enc, "AVR1")
+	_, err := DecodeReceipt(enc)
+	if err == nil || !strings.Contains(err.Error(), "v1 (AVR1)") {
+		t.Fatalf("AVR1 blob: want an explicit version error, got %v", err)
+	}
+}
+
+// TestVerifyRejectsForeignPoints checks that the verifier derives the code's
+// points from (Q, N, K) itself: a receipt whose N or a worker's Alpha falls
+// outside that point set is rejected before any attribution runs. At
+// (N,K) = (5,3) the paper modulus hosts the size-8 subgroup layout, so
+// claiming N = 9 (Lagrange layout, α_i = i+1) strands every listed point.
+func TestVerifyRejectsForeignPoints(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(g *GroupReceipt)
+	}{
+		{"code length moves the layout", func(g *GroupReceipt) { g.N = 9 }},
+		{"alpha outside the point set", func(g *GroupReceipt) {
+			g.Workers[1].Alpha = field.Elem(12345)
+		}},
+	}
+	for _, c := range cases {
+		is, rd := honestMatVec(13, 18, 7, 3, 5, 1)
+		rec := mustIssue(t, is, rd)
+		c.mut(rec.Groups[0])
+		err := rec.Verify()
+		var bwe *BadWorkersError
+		if err == nil || errors.As(err, &bwe) || !strings.Contains(err.Error(), "is not a point of") {
+			t.Errorf("%s: want a point-set rejection, got %v", c.name, err)
+		}
+	}
+	for _, n := range []int{2, 0} { // below K, and the v1 zero value
+		is, rd := honestMatVec(13, 18, 7, 3, 5, 1)
+		rec := mustIssue(t, is, rd)
+		rec.Groups[0].N = n
+		if err := rec.Verify(); err == nil || !strings.Contains(err.Error(), "code length") {
+			t.Errorf("N = %d: want a code-length rejection, got %v", n, err)
+		}
+		rd.N = n
+		if _, err := is.Issue(rd); err == nil {
+			t.Errorf("Issue accepted N = %d for K = 3", n)
+		}
 	}
 }
 

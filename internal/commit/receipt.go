@@ -10,7 +10,7 @@ import (
 // receiptDomain separates this protocol's transcripts from any other use of
 // the Transcript type; bump the version on any change to the absorb
 // schedule, the challenge schedule, or the receipt layout.
-const receiptDomain = "avcc/commit/receipt/v1"
+const receiptDomain = "avcc/commit/receipt/v2"
 
 // Soundness knobs. Each sampled column catches an inconsistent opened
 // linear combination with probability ≥ 1/2 (the rate-1/2 row code has
@@ -68,10 +68,12 @@ type WorkerOpening struct {
 type GroupReceipt struct {
 	// Digest identifies the group's committed data matrix.
 	Digest Digest
-	// K is the data-split count and BlockRows the padded per-block row
-	// count b of the round that produced this receipt (⌈Rows/K⌉; AVCC
-	// re-coding changes these per receipt while Digest stays fixed).
-	K, BlockRows int
+	// N is the code length, K the data-split count and BlockRows the padded
+	// per-block row count b of the round that produced this receipt
+	// (⌈Rows/K⌉; AVCC re-coding changes these per receipt while Digest
+	// stays fixed). (Q, N, K) fix the code's evaluation points
+	// (poly.CodeLayout), which every worker's Alpha must belong to.
+	N, K, BlockRows int
 	// Outputs are the round's decoded outputs, one vector of Digest.Rows
 	// entries per batch column (for Gram rounds: one vector of K·b² entries
 	// holding the K decoded b×b blocks).
@@ -138,6 +140,7 @@ func (g *GroupReceipt) transcriptPrelude(r *Receipt) *Transcript {
 	t.AbsorbInt("digest-cols", uint64(g.Digest.Cols))
 	t.AbsorbInt("digest-ext", uint64(g.Digest.Ext))
 	t.AbsorbInt("digest-q", g.Digest.Q)
+	t.AbsorbInt("n", uint64(g.N))
 	t.AbsorbInt("k", uint64(g.K))
 	t.AbsorbInt("block-rows", uint64(g.BlockRows))
 	t.AbsorbElems("inputs", r.Inputs)
@@ -210,9 +213,9 @@ type Round struct {
 	Iter  int
 	Batch int
 	Gram  bool
-	// K and BlockRows are the split parameters of the code that ran the
-	// round (the CURRENT ones, for adaptive masters).
-	K, BlockRows int
+	// N, K and BlockRows are the code length and split parameters of the
+	// code that ran the round (the CURRENT ones, for adaptive masters).
+	N, K, BlockRows int
 	// Inputs is the packed broadcast (empty for Gram rounds).
 	Inputs []field.Elem
 	// Outputs are the decoded, padding-trimmed outputs per batch column
@@ -283,6 +286,9 @@ func (is *Issuer) Issue(rd Round) (*Receipt, error) {
 	if k < 1 || b < 1 || k*b < rows {
 		return nil, fmt.Errorf("commit: split %d blocks x %d rows cannot cover %d data rows", k, b, rows)
 	}
+	if rd.N < k || rd.N < len(rd.Workers) {
+		return nil, fmt.Errorf("commit: code length %d cannot carry K = %d and %d workers", rd.N, k, len(rd.Workers))
+	}
 	batch := rd.Batch
 	wantOut := batch * b
 	if rd.Gram {
@@ -315,6 +321,7 @@ func (is *Issuer) Issue(rd Round) (*Receipt, error) {
 
 	g := &GroupReceipt{
 		Digest:    mc.digest,
+		N:         rd.N,
 		K:         k,
 		BlockRows: b,
 		Outputs:   make([][]field.Elem, len(rd.Outputs)),

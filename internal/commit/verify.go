@@ -102,8 +102,8 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	if err != nil {
 		return nil, false, fmt.Errorf("invalid modulus %d: %w", d.Q, err)
 	}
-	// DistinctPoints needs strictly fewer points than field elements, both
-	// for the committed columns and the k interpolation nodes.
+	// DistinctPoints needs strictly fewer points than field elements for
+	// the committed columns.
 	if uint64(d.Ext) >= d.Q {
 		return nil, false, fmt.Errorf("extension %d does not fit in field of size %d", d.Ext, d.Q)
 	}
@@ -116,6 +116,20 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	}
 	if b != (d.Rows+k-1)/k {
 		return nil, false, fmt.Errorf("block rows %d, want ceil(%d/%d)", b, d.Rows, k)
+	}
+	if g.N < k || g.N > maxSplit || uint64(g.N) >= d.Q {
+		return nil, false, fmt.Errorf("code length %d out of range for K = %d", g.N, k)
+	}
+	// The code's evaluation points follow from (Q, N, K) alone — the same
+	// layout decision the issuing master's codec made — so a worker point
+	// outside that set is rejected rather than interpolated.
+	layout, err := poly.CodeLayout(f, g.N, k, 0)
+	if err != nil {
+		return nil, false, fmt.Errorf("code (N,K) = (%d,%d): %w", g.N, k, err)
+	}
+	codePoint := make(map[field.Elem]bool, g.N)
+	for _, a := range layout.Alphas {
+		codePoint[a] = true
 	}
 
 	// Shape and canonicality of everything that will be absorbed.
@@ -148,6 +162,9 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			return nil, false, fmt.Errorf("worker %d has invalid or duplicate evaluation point", w.ID)
 		}
 		seenAlpha[w.Alpha] = true
+		if !codePoint[w.Alpha] {
+			return nil, false, fmt.Errorf("worker %d evaluation point %d is not a point of the (N,K) = (%d,%d) code", w.ID, w.Alpha, g.N, k)
+		}
 		if w.OutLen != wantOut {
 			return nil, false, fmt.Errorf("worker %d commits %d outputs, want %d", w.ID, w.OutLen, wantOut)
 		}
@@ -313,7 +330,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	// digest-bound expectation Σ_k ℓ_k(α_i)·(φᵀX_k)·w — the coded shard's
 	// φ-mask, predictable from the commitment alone because Lagrange
 	// encoding is linear over the data blocks.
-	betas := f.DistinctPoints(k, 1)
+	betas := layout.Betas
 	if r.Gram {
 		for i, w := range g.Workers {
 			wt := poly.InterpWeights(f, betas, w.Alpha)

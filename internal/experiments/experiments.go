@@ -29,8 +29,9 @@ type Scale struct {
 	Sim     simnet.Config
 	Seed    int64
 	// Modulus selects the prime field every system runs on; 0 means the
-	// paper's default q = 2²⁵−39. field.QNTT turns on the NTT-accelerated
-	// encode path (cmd flag -field ntt).
+	// paper's default q = 2²⁵−39. field.QNTT puts every coded system's
+	// T = 0 code on the subgroup layout, lcc's O(N log N) encode path (cmd
+	// flag -field ntt).
 	Modulus uint64
 }
 

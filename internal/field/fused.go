@@ -1,7 +1,7 @@
 package field
 
-// The fused weighted-combination kernel behind the NTT fast-path encoder
-// (internal/mds): dsts[p] = Σ_j w[p][j]·srcs[j] over long rows.
+// The fused weighted-combination kernel behind the subgroup-layout encoder
+// (internal/lcc): dsts[p] = Σ_j w[p][j]·srcs[j] over long rows.
 //
 // The naive shape — one AXPY pass per (destination, source) pair — streams
 // every destination row through memory once per source, and at parity

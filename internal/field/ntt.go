@@ -1,7 +1,7 @@
 package field
 
 // Number-theoretic transforms over F_q — the O(N log N) substrate of the
-// subgroup Reed–Solomon codec (internal/poly, internal/mds).
+// subgroup Reed–Solomon codec (internal/poly, internal/lcc).
 //
 // A radix-2 NTT of size n exists exactly when n is a power of two dividing
 // q−1, i.e. n ≤ 2^v₂(q−1) where v₂ is the 2-adic valuation. The paper's

@@ -184,7 +184,7 @@ func MatVecInto(f *field.Field, y []field.Elem, m *Matrix, x []field.Elem) {
 		matVecRows(f, y, m, x, 0, m.Rows)
 		return
 	}
-	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
+	//avcc:alloc-ok proto task never escapes dispatch (copied into recycled tasks); measured 0 allocs/op
 	dispatch(m.Rows, &task{run: runMatVec, f: f, a: m, x: x, y: y})
 }
 
@@ -211,7 +211,7 @@ func MatMul(f *field.Field, a, b *Matrix) *Matrix {
 // allocations in steady state). c must not alias a or b.
 //
 // The kernel is blocked for the lazy-reduction contract (DESIGN.md §7): each
-// output row streams rows of b through a pooled uint64 accumulator row in
+// output row streams rows of b through a recycled uint64 accumulator row in
 // LazyBatch-sized k-tiles — raw multiply-adds inside a tile, one Barrett
 // reduction per accumulator entry per tile, instead of the seed's two
 // divisions per multiply-add. Row blocks run on the package worker pool.
@@ -225,21 +225,20 @@ func MatMulInto(f *field.Field, c, a, b *Matrix) {
 		panic("fieldmat: MatMul output shape mismatch")
 	}
 	if a.Rows*a.Cols+b.Rows*b.Cols < ParallelThreshold || a.Rows < 2 {
-		buf := getAcc(b.Cols)
-		matMulRows(f, c, a, b, 0, a.Rows, buf.s)
-		putAcc(buf)
+		//avcc:alloc-ok proto task never escapes getTask (copied into a recycled task); measured 0 allocs/op
+		t := getTask(&task{f: f, a: a, b: b, c: c})
+		matMulRows(f, c, a, b, 0, a.Rows, t.scratch(b.Cols))
+		putTask(t)
 		return
 	}
-	//avcc:alloc-ok proto task never escapes dispatch (copied into pooled tasks); measured 0 allocs/op
+	//avcc:alloc-ok proto task never escapes dispatch (copied into recycled tasks); measured 0 allocs/op
 	dispatch(a.Rows, &task{run: runMatMul, f: f, a: a, b: b, c: c})
 }
 
 //avcc:noalloc
 
 func runMatMul(t *task) {
-	buf := getAcc(t.b.Cols)
-	matMulRows(t.f, t.c, t.a, t.b, t.lo, t.hi, buf.s)
-	putAcc(buf)
+	matMulRows(t.f, t.c, t.a, t.b, t.lo, t.hi, t.scratch(t.b.Cols))
 }
 
 // matMulRows is the blocked row kernel; acc is a zeroed scratch row of
@@ -268,7 +267,7 @@ func VecMat(f *field.Field, x []field.Elem, m *Matrix) []field.Elem {
 	return y
 }
 
-// VecMatInto computes y = xᵀ·m into a caller-owned slice through a pooled
+// VecMatInto computes y = xᵀ·m into a caller-owned slice through a recycled
 // lazy accumulator row: one reduction pass per LazyBatch matrix rows.
 //
 //avcc:noalloc
@@ -279,15 +278,16 @@ func VecMatInto(f *field.Field, y []field.Elem, x []field.Elem, m *Matrix) {
 	if len(y) != m.Cols {
 		panic("fieldmat: VecMat output length mismatch")
 	}
-	buf := getAcc(m.Cols)
-	la := f.NewLazyAcc(buf.s)
+	//avcc:alloc-ok proto task never escapes getTask (copied into a recycled task); measured 0 allocs/op
+	t := getTask(&task{})
+	la := f.NewLazyAcc(t.scratch(m.Cols))
 	for i, xi := range x {
 		if xi != 0 {
 			la.AXPY(xi, m.Row(i))
 		}
 	}
 	la.Flush(y)
-	putAcc(buf)
+	putTask(t)
 }
 
 // Scale multiplies every element in place by c.

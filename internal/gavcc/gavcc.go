@@ -73,7 +73,6 @@ type Master struct {
 	// blockRows is the padded per-block row count b; results are b×b.
 	blockRows int
 	origRows  int
-	blocks    []*fieldmat.Matrix // the true data blocks (for sizing/tests)
 	// issuer builds round receipts when Options.Receipts is set.
 	issuer *commit.Issuer
 }
@@ -111,8 +110,8 @@ func NewMaster(f *field.Field, opt Options, x *fieldmat.Matrix,
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	blocks := fieldmat.SplitRows(fieldmat.PadRows(x, opt.K), opt.K)
-	shards, err := code.EncodeBlocks(blocks, rng)
+	padded := fieldmat.PadRows(x, opt.K)
+	shards, err := code.EncodeMatrix(padded, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +121,8 @@ func NewMaster(f *field.Field, opt Options, x *fieldmat.Matrix,
 		code:      code,
 		workers:   make([]*cluster.Worker, opt.N),
 		keys:      make([]*verify.GramKey, opt.N),
-		blockRows: blocks[0].Rows,
+		blockRows: padded.Rows / opt.K,
 		origRows:  x.Rows,
-		blocks:    blocks,
 	}
 	if opt.Receipts {
 		if opt.T > 0 {
@@ -332,7 +330,7 @@ func (m *Master) Run(ctx context.Context, iter int) (*Result, error) {
 		}
 		rec, rerr := m.issuer.Issue(commit.Round{
 			Key: GramKey, Iter: iter, Batch: 1, Gram: true,
-			K: m.opt.K, BlockRows: b,
+			N: m.opt.N, K: m.opt.K, BlockRows: b,
 			Outputs: [][]field.Elem{flat}, Workers: rw,
 		})
 		if rerr != nil {

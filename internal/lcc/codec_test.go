@@ -1,4 +1,9 @@
-package mds
+package lcc
+
+// MDS-code coverage — the T = 0, deg f = 1 special case of Section IV-A:
+// systematic shards, decode from any K of N in any order, linearity, the
+// invertibility of every K-column generator submatrix, and the memoized
+// decode plans against a Gauss–Jordan solve reference.
 
 import (
 	"math/rand"
@@ -9,16 +14,14 @@ import (
 	"repro/internal/fieldmat"
 )
 
-var f = field.Default()
-
 func TestNewRejectsBadParams(t *testing.T) {
 	for _, c := range []struct{ n, k int }{{2, 3}, {0, 0}, {5, 0}, {-1, -1}} {
-		if _, err := New(f, c.n, c.k); err == nil {
+		if _, err := New(f, c.n, c.k, 0, 1); err == nil {
 			t.Errorf("New(%d,%d) accepted invalid params", c.n, c.k)
 		}
 	}
 	small := field.MustNew(7)
-	if _, err := New(small, 7, 2); err == nil {
+	if _, err := New(small, 7, 2, 0, 1); err == nil {
 		t.Error("New accepted N >= q")
 	}
 }
@@ -26,13 +29,13 @@ func TestNewRejectsBadParams(t *testing.T) {
 func TestSystematic(t *testing.T) {
 	// The first K shards must equal the data blocks (X̃_i = X_i, i <= K).
 	rng := rand.New(rand.NewSource(70))
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 18, 5)
 	blocks := fieldmat.SplitRows(x, 9)
-	shards, err := code.EncodeBlocks(blocks)
+	shards, err := code.EncodeBlocks(blocks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +53,13 @@ func TestFig1Example(t *testing.T) {
 	// The paper's Fig. 1: (3,2) code, worker 1 straggles, workers 2 and 3
 	// suffice to recover X·b.
 	rng := rand.New(rand.NewSource(71))
-	code, err := New(f, 3, 2)
+	code, err := New(f, 3, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 4, 6)
 	b := f.RandVec(rng, 6)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +82,13 @@ func TestAnyKofNDecodes(t *testing.T) {
 	// The defining MDS property, exhaustively for (5,3): every 3-subset of
 	// workers decodes correctly.
 	rng := rand.New(rand.NewSource(72))
-	code, err := New(f, 5, 3)
+	code, err := New(f, 5, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 6, 4)
 	w := f.RandVec(rng, 4)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +117,10 @@ func TestDecodeOrderInvariance(t *testing.T) {
 	// Results arriving in any order must decode identically — the master
 	// consumes workers in verification-completion order.
 	rng := rand.New(rand.NewSource(73))
-	code, _ := New(f, 6, 4)
+	code, _ := New(f, 6, 4, 0, 1)
 	x := fieldmat.Rand(f, rng, 8, 3)
 	w := f.RandVec(rng, 3)
-	shards, _ := code.EncodeMatrix(x)
+	shards, _ := code.EncodeMatrix(x, nil)
 	want := fieldmat.MatVec(f, x, w)
 	idx := []int{5, 0, 3, 2} // deliberately shuffled
 	res := make([][]field.Elem, 4)
@@ -137,11 +140,11 @@ func TestDecodeTransposedRound(t *testing.T) {
 	// Round 2 of logreg: encode Xᵀ row blocks, workers compute X̃'_i·e,
 	// decode g = Xᵀe.
 	rng := rand.New(rand.NewSource(74))
-	code, _ := New(f, 12, 9)
+	code, _ := New(f, 12, 9, 0, 1)
 	x := fieldmat.Rand(f, rng, 18, 27)
 	xt := x.Transpose() // 27×18
 	e := f.RandVec(rng, 18)
-	shards, err := code.EncodeMatrix(xt)
+	shards, err := code.EncodeMatrix(xt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestDecodeTransposedRound(t *testing.T) {
 }
 
 func TestDecodeRejectsBadInput(t *testing.T) {
-	code, _ := New(f, 4, 2)
+	code, _ := New(f, 4, 2, 0, 1)
 	good := [][]field.Elem{{1, 2}, {3, 4}}
 	cases := []struct {
 		name    string
@@ -182,20 +185,20 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 }
 
 func TestEncodeMatrixIndivisible(t *testing.T) {
-	code, _ := New(f, 4, 3)
-	if _, err := code.EncodeMatrix(fieldmat.NewMatrix(10, 2)); err == nil {
+	code, _ := New(f, 4, 3, 0, 1)
+	if _, err := code.EncodeMatrix(fieldmat.NewMatrix(10, 2), nil); err == nil {
 		t.Fatal("EncodeMatrix accepted indivisible rows")
 	}
 }
 
 func TestEncodeBlocksShapeChecks(t *testing.T) {
-	code, _ := New(f, 4, 2)
-	if _, err := code.EncodeBlocks([]*fieldmat.Matrix{fieldmat.NewMatrix(2, 2)}); err == nil {
+	code, _ := New(f, 4, 2, 0, 1)
+	if _, err := code.EncodeBlocks([]*fieldmat.Matrix{fieldmat.NewMatrix(2, 2)}, nil); err == nil {
 		t.Fatal("accepted wrong block count")
 	}
 	if _, err := code.EncodeBlocks([]*fieldmat.Matrix{
 		fieldmat.NewMatrix(2, 2), fieldmat.NewMatrix(3, 2),
-	}); err == nil {
+	}, nil); err == nil {
 		t.Fatal("accepted unequal block shapes")
 	}
 }
@@ -204,16 +207,16 @@ func TestEncodeLinearity(t *testing.T) {
 	// Encoding is linear: encode(X + Y) = encode(X) + encode(Y), shard-wise.
 	// This is what lets workers compute on coded data at all.
 	rng := rand.New(rand.NewSource(75))
-	code, _ := New(f, 5, 3)
+	code, _ := New(f, 5, 3, 0, 1)
 	if err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		x := fieldmat.Rand(f, r, 6, 3)
 		y := fieldmat.Rand(f, r, 6, 3)
 		sum := x.Clone()
 		sum.AddInPlace(f, y)
-		sx, _ := code.EncodeMatrix(x)
-		sy, _ := code.EncodeMatrix(y)
-		ss, _ := code.EncodeMatrix(sum)
+		sx, _ := code.EncodeMatrix(x, nil)
+		sy, _ := code.EncodeMatrix(y, nil)
+		ss, _ := code.EncodeMatrix(sum, nil)
 		for i := range ss {
 			both := sx[i].Clone()
 			both.AddInPlace(f, sy[i])
@@ -231,7 +234,7 @@ func TestGeneratorAllKSubmatricesInvertible(t *testing.T) {
 	// Spot-check the MDS property at the paper's (12,9) configuration with
 	// random K-subsets (exhaustive is 220 subsets for (12,9); we do all of
 	// them — it is cheap).
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,13 +298,13 @@ func decodeRef(t *testing.T, code *Code, workers []int, results [][]field.Elem) 
 // hits, plus permuted worker orderings.
 func TestDecodePlanMatchesSolveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 36, 7)
 	w := f.RandVec(rng, 7)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,13 +351,13 @@ func TestDecodePlanMatchesSolveReference(t *testing.T) {
 // sets than the cache cap to exercise the reset path.
 func TestDecodePlanCacheSurvivesManyWorkerSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	code, err := New(f, 16, 3)
+	code, err := New(f, 16, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 9, 4)
 	w := f.RandVec(rng, 4)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +390,12 @@ func TestDecodePlanCacheSurvivesManyWorkerSets(t *testing.T) {
 
 func BenchmarkEncode12x9(b *testing.B) {
 	rng := rand.New(rand.NewSource(76))
-	code, _ := New(f, 12, 9)
+	code, _ := New(f, 12, 9, 0, 1)
 	x := fieldmat.Rand(f, rng, 900, 120)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := code.EncodeMatrix(x); err != nil {
+		if _, err := code.EncodeMatrix(x, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,10 +403,10 @@ func BenchmarkEncode12x9(b *testing.B) {
 
 func BenchmarkDecode12x9(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
-	code, _ := New(f, 12, 9)
+	code, _ := New(f, 12, 9, 0, 1)
 	x := fieldmat.Rand(f, rng, 900, 120)
 	w := f.RandVec(rng, 120)
-	shards, _ := code.EncodeMatrix(x)
+	shards, _ := code.EncodeMatrix(x, nil)
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	res := make([][]field.Elem, len(idx))
 	for r, i := range idx {

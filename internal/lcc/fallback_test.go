@@ -1,10 +1,10 @@
-package mds
+package lcc
 
-// Regression tests for the typed-error gate on the NTT→Lagrange fallback in
-// New: the poly layer wraps the field's *NTTSizeError with context, so the
-// fallback criterion must be errors.As — a bare type assertion (or the old
-// err == nil blanket fallback) either stops matching or swallows real
-// failures.
+// Regression tests for the typed-error gate on the subgroup→Lagrange
+// fallback in poly.CodeLayout: NewSubgroup wraps the field's *NTTSizeError
+// with context, so the fallback criterion must be errors.As — a bare type
+// assertion (or an err == nil blanket fallback) either stops matching or
+// swallows real failures.
 
 import (
 	"errors"
@@ -42,7 +42,7 @@ func TestSubgroupErrorIsWrapped(t *testing.T) {
 // unwrapped error did before the poly layer added context.
 func TestWrappedSizeErrorTriggersFallback(t *testing.T) {
 	f := field.MustNew(field.QDefault)
-	c, err := New(f, 12, 9)
+	c, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatalf("New(12, 9) over QDefault should fall back to Lagrange, got error: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestWrappedSizeErrorTriggersFallback(t *testing.T) {
 	for i := range data {
 		data[i] = field.Elem(i + 1)
 	}
-	shards, err := c.EncodeMatrix(rowVec(data))
+	shards, err := c.EncodeMatrix(rowVec(data), nil)
 	if err != nil {
 		t.Fatalf("encoding on the fallback layout: %v", err)
 	}
@@ -77,14 +77,14 @@ func TestWrappedSizeErrorTriggersFallback(t *testing.T) {
 // TestUnexpectedSubgroupErrorPropagates closes the other half of the gate:
 // an error that is NOT an NTT size error must surface from the fallback
 // decision, not be silently absorbed into the Lagrange path. The gate logic
-// is exercised exactly as New runs it.
+// is exercised exactly as poly.CodeLayout runs it.
 func TestUnexpectedSubgroupErrorPropagates(t *testing.T) {
 	cause := fmt.Errorf("poly: corrupted twiddle cache: %w", errors.New("disk error"))
 	var sizeErr *field.NTTSizeError
 	if errors.As(cause, &sizeErr) {
 		t.Fatal("test premise: cause must not be an NTT size error")
 	}
-	// New's gate: anything errors.As cannot identify as a size error is a
+	// CodeLayout's gate: anything errors.As cannot identify as a size error is a
 	// real failure.
 	if gateTakesFallback(cause) {
 		t.Fatal("non-size errors must propagate, not trigger the Lagrange fallback")
@@ -95,7 +95,7 @@ func TestUnexpectedSubgroupErrorPropagates(t *testing.T) {
 	}
 }
 
-// gateTakesFallback mirrors New's fallback criterion.
+// gateTakesFallback mirrors poly.CodeLayout's fallback criterion.
 func gateTakesFallback(err error) bool {
 	var sizeErr *field.NTTSizeError
 	return errors.As(err, &sizeErr)

@@ -1,10 +1,12 @@
-package mds
+package lcc
 
-// Differential suite pinning the NTT fast path to the Lagrange formulas:
+// Differential suite pinning the subgroup layout to the Lagrange formulas:
 // the subgroup-domain generator, encoder, and decoder must be bit-exact
 // with dense Lagrange arithmetic over the SAME evaluation points, for
 // power-of-two and non-power-of-two k, including the all-(q−1) worst case
-// that stresses the fused kernel's lazy accumulators.
+// that stresses the fused kernel's lazy accumulators — and the Lagrange
+// layout on the paper modulus must stay bit-exact with a reference encoder
+// and decoder kept here.
 
 import (
 	"math/rand"
@@ -19,26 +21,28 @@ var nttDiffShapes = []struct{ n, k int }{
 	{12, 9}, {4, 2}, {16, 8}, {12, 7}, {8, 8}, {16, 15},
 }
 
-// TestNTTAcceleratedGuard pins the dispatch criterion: the fast path engages
-// exactly when the modulus' 2-adicity hosts nextpow2(N) points. A silent
-// fallback on the NTT modulus at the paper's shape would be a perf
-// regression invisible to correctness tests — this is the guard.
+// TestNTTAcceleratedGuard pins the dispatch criterion: the subgroup layout
+// engages exactly when T = 0 and the modulus' 2-adicity hosts nextpow2(N)
+// points. A silent fallback on the NTT modulus at the paper's shape would
+// be a perf regression invisible to correctness tests — this is the guard.
 func TestNTTAcceleratedGuard(t *testing.T) {
 	cases := []struct {
-		name string
-		f    *field.Field
-		n, k int
-		want bool
+		name          string
+		f             *field.Field
+		n, k, t, degF int
+		want          bool
 	}{
-		{"ntt modulus paper shape", field.NTTFriendly(), 12, 9, true},
-		{"ntt modulus large", field.NTTFriendly(), 1 << 10, 700, true},
-		{"paper modulus paper shape", field.Default(), 12, 9, false},
-		{"paper modulus within adicity", field.Default(), 8, 5, true},
-		{"paper modulus just beyond adicity", field.Default(), 9, 5, false},
-		{"q=97 paper shape", field.MustNew(97), 12, 9, true}, // 96 = 2^5·3
+		{"ntt modulus paper shape", field.NTTFriendly(), 12, 9, 0, 1, true},
+		{"ntt modulus large", field.NTTFriendly(), 1 << 10, 700, 0, 1, true},
+		{"ntt modulus degree two", field.NTTFriendly(), 12, 4, 0, 2, true},
+		{"ntt modulus with privacy masks", field.NTTFriendly(), 12, 4, 1, 2, false},
+		{"paper modulus paper shape", field.Default(), 12, 9, 0, 1, false},
+		{"paper modulus within adicity", field.Default(), 8, 5, 0, 1, true},
+		{"paper modulus just beyond adicity", field.Default(), 9, 5, 0, 1, false},
+		{"q=97 paper shape", field.MustNew(97), 12, 9, 0, 1, true}, // 96 = 2^5·3
 	}
 	for _, c := range cases {
-		code, err := New(c.f, c.n, c.k)
+		code, err := New(c.f, c.n, c.k, c.t, c.degF)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -56,7 +60,7 @@ func TestNTTAcceleratedGuard(t *testing.T) {
 func TestSubgroupGeneratorMatchesLagrange(t *testing.T) {
 	f := field.NTTFriendly()
 	for _, sh := range nttDiffShapes {
-		code, err := New(f, sh.n, sh.k)
+		code, err := New(f, sh.n, sh.k, 0, 1)
 		if err != nil {
 			t.Fatalf("(%d,%d): %v", sh.n, sh.k, err)
 		}
@@ -112,7 +116,7 @@ func TestNTTEncodeMatchesNaiveReference(t *testing.T) {
 	f := field.NTTFriendly()
 	rng := rand.New(rand.NewSource(91))
 	for _, sh := range nttDiffShapes {
-		code, err := New(f, sh.n, sh.k)
+		code, err := New(f, sh.n, sh.k, 0, 1)
 		if err != nil {
 			t.Fatalf("(%d,%d): %v", sh.n, sh.k, err)
 		}
@@ -125,7 +129,7 @@ func TestNTTEncodeMatchesNaiveReference(t *testing.T) {
 			}
 			blocks := fieldmat.SplitRows(x, sh.k)
 			want := naiveEncode(f, code.Generator(), blocks, sh.n)
-			got, err := code.EncodeMatrix(x)
+			got, err := code.EncodeMatrix(x, nil)
 			if err != nil {
 				t.Fatalf("(%d,%d) trial %d: %v", sh.n, sh.k, trial, err)
 			}
@@ -145,7 +149,7 @@ func TestNTTEncodeMatchesNaiveReference(t *testing.T) {
 func TestNTTEncodeDecodeRoundTrip(t *testing.T) {
 	f := field.NTTFriendly()
 	rng := rand.New(rand.NewSource(92))
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestNTTEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	x := fieldmat.Rand(f, rng, 27, 8)
 	w := f.RandVec(rng, 8)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +192,12 @@ func TestNTTEncodeDecodeRoundTrip(t *testing.T) {
 func TestEncodeMatrixZeroCopyViews(t *testing.T) {
 	f := field.NTTFriendly()
 	rng := rand.New(rand.NewSource(93))
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 18, 4)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,17 +226,17 @@ func TestEncodeMatrixIntoAllocs(t *testing.T) {
 		{"ntt path", field.NTTFriendly()},
 		{"lagrange path", field.Default()},
 	} {
-		code, err := New(tc.f, 12, 9)
+		code, err := New(tc.f, 12, 9, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x := fieldmat.Rand(tc.f, rng, 36, 7)
 		shards := make([]*fieldmat.Matrix, 12)
-		if err := code.EncodeMatrixInto(shards, x); err != nil { // warm: allocate shard storage
+		if err := code.EncodeMatrixInto(shards, x, nil); err != nil { // warm: allocate shard storage
 			t.Fatal(err)
 		}
 		if avg := testing.AllocsPerRun(20, func() {
-			if err := code.EncodeMatrixInto(shards, x); err != nil {
+			if err := code.EncodeMatrixInto(shards, x, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
@@ -246,13 +250,13 @@ func TestEncodeMatrixIntoAllocs(t *testing.T) {
 func TestDecodeIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	f := field.NTTFriendly()
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := fieldmat.Rand(f, rng, 27, 6)
 	w := f.RandVec(rng, 6)
-	shards, err := code.EncodeMatrix(x)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,31 +293,90 @@ func TestDecodeIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestLagrangePathUnchangedByRefactor cross-checks the Into refactor on the
-// paper modulus at the paper shape: the new EncodeMatrix (no SplitRows
-// copy) must reproduce the seed's EncodeBlocks∘SplitRows composition.
+// lagrangeRef is the paper-modulus reference kept in test code: the
+// seed's layout (α_i = i+1, β = α[:K]) with generator entries ℓ_j(α_i)
+// computed from the product formula one Fermat inversion at a time — no
+// batched weights, no decode plans, no shared code with the codec.
+func lagrangeRef(f *field.Field, n, k int) *fieldmat.Matrix {
+	gen := fieldmat.NewMatrix(k, n)
+	for i := 0; i < n; i++ {
+		a := field.Elem(i + 1)
+		for j := 0; j < k; j++ {
+			b := field.Elem(j + 1)
+			w := field.Elem(1)
+			for m := 0; m < k; m++ {
+				if m != j {
+					bm := field.Elem(m + 1)
+					w = f.Mul(w, f.Div(f.Sub(a, bm), f.Sub(b, bm)))
+				}
+			}
+			gen.Set(j, i, w)
+		}
+	}
+	return gen
+}
+
+// TestLagrangePathUnchangedByRefactor pins the paper modulus at the paper
+// shape to the seed's Lagrange layout, bit for bit: the points, the
+// generator, every shard (against the naive encoder over the reference
+// generator) and decodes from shuffled survivor sets (against the
+// Gauss–Jordan solve over the reference generator).
 func TestLagrangePathUnchangedByRefactor(t *testing.T) {
 	f := field.Default()
 	rng := rand.New(rand.NewSource(96))
-	code, err := New(f, 12, 9)
+	code, err := New(f, 12, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code.NTTAccelerated() {
-		t.Fatal("paper modulus at (12,9) must take the Lagrange path")
+		t.Fatal("paper modulus at (12,9) must take the Lagrange layout")
+	}
+	for i, a := range code.Alphas() {
+		if a != field.Elem(i+1) {
+			t.Fatalf("alpha %d = %d, the Lagrange layout puts it at %d", i, a, i+1)
+		}
+	}
+	ref := lagrangeRef(f, 12, 9)
+	if !code.Generator().Equal(ref) {
+		t.Fatal("generator diverges from the reference Lagrange generator")
 	}
 	x := fieldmat.Rand(f, rng, 36, 11)
-	viaBlocks, err := code.EncodeBlocks(fieldmat.SplitRows(x, 9))
+	want := naiveEncode(f, ref, fieldmat.SplitRows(x, 9), 12)
+	shards, err := code.EncodeMatrix(x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMatrix, err := code.EncodeMatrix(x)
-	if err != nil {
-		t.Fatal(err)
+	for i := range shards {
+		if !shards[i].Equal(want[i]) {
+			t.Fatalf("shard %d diverges from the reference encoder", i)
+		}
 	}
-	for i := range viaBlocks {
-		if !viaBlocks[i].Equal(viaMatrix[i]) {
-			t.Fatalf("shard %d: EncodeMatrix diverges from EncodeBlocks∘SplitRows", i)
+	w := f.RandVec(rng, 11)
+	for _, idx := range [][]int{
+		{11, 0, 7, 3, 5, 2, 9, 1, 4},
+		{3, 4, 5, 6, 7, 8, 9, 10, 11},
+		{10, 8, 6, 4, 2, 0, 1, 3, 5},
+	} {
+		a := fieldmat.NewMatrix(9, 9)
+		rmat := fieldmat.NewMatrix(9, x.Rows/9)
+		res := make([][]field.Elem, len(idx))
+		for r, i := range idx {
+			res[r] = fieldmat.MatVec(f, want[i], w)
+			copy(rmat.Row(r), res[r])
+			for j := 0; j < 9; j++ {
+				a.Set(r, j, ref.At(j, i))
+			}
+		}
+		y, err := fieldmat.SolveMatrix(f, a, rmat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := code.DecodeConcat(idx, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !field.EqualVec(got, y.Data) {
+			t.Fatalf("decode %v diverges from the reference solve", idx)
 		}
 	}
 }

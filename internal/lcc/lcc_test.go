@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fieldmat"
+	"repro/internal/poly"
 )
 
 var f = field.Default()
@@ -136,8 +137,15 @@ func TestPrivacyMasking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lay, err := poly.CodeLayout(f, 8, k, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !field.EqualVec(lay.Alphas, code.alphas) {
+		t.Fatal("code does not use its layout's worker points")
+	}
 	betaSet := map[field.Elem]bool{}
-	for _, b := range code.betas {
+	for _, b := range lay.Betas {
 		betaSet[b] = true
 	}
 	for _, a := range code.alphas {

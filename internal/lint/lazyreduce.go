@@ -46,7 +46,7 @@ var LazyReduce = &Analyzer{
 	Scope: pathIn(
 		"repro/internal/field",
 		"repro/internal/poly",
-		"repro/internal/mds",
+		"repro/internal/lcc",
 		"repro/internal/fieldmat",
 	),
 	Run: runLazyReduce,

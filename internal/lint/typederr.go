@@ -1,7 +1,7 @@
 package lint
 
 // typederr enforces the error-matching contract: the module's typed errors
-// (*field.NTTSizeError, *scheme.InvalidConfigError, *mds.BadWorkersError,
+// (*field.NTTSizeError, *scheme.InvalidConfigError, *commit.BadWorkersError,
 // transport's ErrQueueFull, ...) travel through fmt.Errorf("%w") wrapping at
 // every layer boundary, so a direct type assertion or a == comparison on a
 // possibly-wrapped error silently stops matching the moment anyone adds

@@ -69,8 +69,8 @@ type Subgroup struct {
 
 // NewSubgroup builds the (n, k) domain, failing with the field's typed
 // *field.NTTSizeError when the modulus cannot host a size-nextpow2(n)
-// transform — the exact criterion under which internal/mds falls back to
-// the Lagrange path.
+// transform — the exact criterion under which CodeLayout falls back to the
+// Lagrange layout.
 func NewSubgroup(f *field.Field, n, k int) (*Subgroup, error) {
 	if k < 1 || n < k {
 		return nil, fmt.Errorf("poly: invalid subgroup domain (n,k) = (%d,%d)", n, k)

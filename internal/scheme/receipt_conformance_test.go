@@ -22,8 +22,23 @@ import (
 	"repro/internal/field"
 	"repro/internal/fieldmat"
 	"repro/internal/gavcc"
+	"repro/internal/poly"
 	"repro/internal/scenario"
 )
+
+// receiptField resolves the receipts axis' modulus: 0 is the paper's field
+// with the config left unpinned, anything else pins the config to it.
+func receiptField(t *testing.T, modulus uint64) (*field.Field, []Option) {
+	t.Helper()
+	if modulus == 0 {
+		return field.Default(), nil
+	}
+	f, err := FieldFor(Config{Modulus: modulus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, []Option{WithModulus(modulus)}
+}
 
 // receiptConfig is the shared deployment configuration of the receipts axis.
 func receiptConfig(tc conformanceCase, extra ...Option) Config {
@@ -46,19 +61,24 @@ func receiptMatrix(t *testing.T, f *field.Field, rng *rand.Rand, tc conformanceC
 	return fieldmat.Rand(f, rng, 720, 120)
 }
 
-// runReceiptRounds drives one (scheme, profile, shards) cell and asserts the
-// forward direction of the receipt contract: bit-exact decode ⇒ receipt
-// present, bound to the deployment's published digest, and verifying.
-func runReceiptRounds(t *testing.T, tc conformanceCase, profile string, shards, rounds int) {
+// runReceiptRounds drives one (scheme, profile, shards) cell on the given
+// modulus and asserts the forward direction of the receipt contract:
+// bit-exact decode ⇒ receipt present, bound to the deployment's published
+// digest, and verifying. It also pins the no-write contract of the
+// zero-copy systematic shards: the data matrix the shards may alias is
+// byte-identical after the rounds.
+func runReceiptRounds(t *testing.T, tc conformanceCase, profile string, shards, rounds int, modulus uint64) {
 	t.Helper()
-	f := field.Default()
+	f, opts := receiptField(t, modulus)
 	rng := rand.New(rand.NewSource(conformanceSeed))
 	x := receiptMatrix(t, f, rng, tc)
+	pristine := x.Clone()
 	scn, err := scenario.Profile(profile, tc.n, tc.k, conformanceSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(tc.scheme, f, receiptConfig(tc, WithScenario(scn), WithShards(shards)), tc.data(x), nil, nil)
+	opts = append(opts, WithScenario(scn), WithShards(shards))
+	m, err := New(tc.scheme, f, receiptConfig(tc, opts...), tc.data(x), nil, nil)
 	if err != nil {
 		t.Fatalf("%s under %s x%d: %v", tc.scheme, profile, shards, err)
 	}
@@ -96,17 +116,70 @@ func runReceiptRounds(t *testing.T, tc conformanceCase, profile string, shards, 
 		}
 		m.FinishIteration(iter)
 	}
+	if !x.Equal(pristine) {
+		t.Fatalf("%s under %s x%d: the data matrix was written after encoding", tc.scheme, profile, shards)
+	}
 }
 
 func TestReceiptConformanceAllSchemes(t *testing.T) {
+	receiptConformance(t, 0)
+}
+
+// TestReceiptConformanceNTTModulus runs the same cells on field.QNTT, where
+// every scheme's code takes the subgroup layout: the verifier must re-derive
+// those points from (Q, N, K) and accept every honest receipt.
+func TestReceiptConformanceNTTModulus(t *testing.T) {
+	receiptConformance(t, field.QNTT)
+}
+
+func receiptConformance(t *testing.T, modulus uint64) {
 	const rounds = 4
 	for _, tc := range conformanceCases() {
 		for _, profile := range []string{scenario.Steady, scenario.AdversarialWave} {
 			for _, shards := range []int{1, 2} {
 				tc, profile, shards := tc, profile, shards
 				t.Run(fmt.Sprintf("%s/%s/shards=%d", tc.scheme, profile, shards), func(t *testing.T) {
-					runReceiptRounds(t, tc, profile, shards, rounds)
+					runReceiptRounds(t, tc, profile, shards, rounds, modulus)
 				})
+			}
+		}
+	}
+}
+
+// TestNTTModulusMastersUseSubgroupLayout pins the codec dispatch through a
+// whole master: an avcc (12,9) deployment pinned to field.QNTT issues
+// receipts whose worker points are the subgroup layout's, while on the
+// paper modulus the same deployment keeps the Lagrange points α_i = i+1.
+func TestNTTModulusMastersUseSubgroupLayout(t *testing.T) {
+	for _, c := range []struct {
+		modulus  uint64
+		subgroup bool
+	}{{field.QNTT, true}, {0, false}} {
+		tc := matvecCase("avcc")
+		f, opts := receiptField(t, c.modulus)
+		rng := rand.New(rand.NewSource(conformanceSeed))
+		x := receiptMatrix(t, f, rng, tc)
+		m, err := New("avcc", f, receiptConfig(tc, opts...), tc.data(x), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := m.RunRound(context.Background(), tc.key, tc.input(f, rng, x), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := poly.CodeLayout(f, 12, 9, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (layout.Domain != nil) != c.subgroup {
+			t.Fatalf("q=%d: (12,9) subgroup layout = %v, want %v", f.Q(), layout.Domain != nil, c.subgroup)
+		}
+		for _, w := range out.Receipt.Groups[0].Workers {
+			if w.Alpha != layout.Alphas[w.ID] {
+				t.Fatalf("q=%d: worker %d at point %d, the layout puts it at %d", f.Q(), w.ID, w.Alpha, layout.Alphas[w.ID])
+			}
+			if !c.subgroup && w.Alpha != field.Elem(w.ID+1) {
+				t.Fatalf("paper modulus: worker %d at point %d, want the Lagrange point %d", w.ID, w.Alpha, w.ID+1)
 			}
 		}
 	}
@@ -157,13 +230,23 @@ func TestReceiptVerifiesWithCaughtByzantine(t *testing.T) {
 // — so the receipt is the tenant's only detector, and it must name exactly
 // the tampering worker.
 func TestReceiptIdentifiesTamperedUncoded(t *testing.T) {
-	f := field.Default()
+	tamperedUncoded(t, 0)
+}
+
+// TestReceiptIdentifiesTamperedUncodedNTT is the uncoded tamper cell on
+// field.QNTT's subgroup layout.
+func TestReceiptIdentifiesTamperedUncodedNTT(t *testing.T) {
+	tamperedUncoded(t, field.QNTT)
+}
+
+func tamperedUncoded(t *testing.T, modulus uint64) {
+	f, opts := receiptField(t, modulus)
 	rng := rand.New(rand.NewSource(3))
 	x := fieldmat.Rand(f, rng, 40, 16)
 	behaviors := []attack.Behavior{attack.Honest{}, attack.Honest{}, attack.Constant{V: 5}, attack.Honest{}}
-	m, err := New("uncoded", f, NewConfig(
+	m, err := New("uncoded", f, NewConfig(append(opts,
 		WithCoding(4, 4), WithBudgets(0, 0, 0), WithSeed(3), WithReceipts(true),
-	), map[string]*fieldmat.Matrix{"fwd": x}, behaviors, nil)
+	)...), map[string]*fieldmat.Matrix{"fwd": x}, behaviors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +271,19 @@ func TestReceiptIdentifiesTamperedUncoded(t *testing.T) {
 // LCC's M = 1 correction budget, forcing the erasure-only fallback that lets
 // corrupt contributions through — the paper's overloaded-LCC failure mode.
 // The receipt must reject the round and every flagged worker must actually
-// be corrupt.
+// be corrupt — and every corrupt worker the receipt lists must be flagged.
 func TestReceiptIdentifiesTamperedLCCFallback(t *testing.T) {
-	f := field.Default()
+	tamperedLCCFallback(t, 0)
+}
+
+// TestReceiptIdentifiesTamperedLCCFallbackNTT is the LCC fallback tamper
+// cell on field.QNTT's subgroup layout.
+func TestReceiptIdentifiesTamperedLCCFallbackNTT(t *testing.T) {
+	tamperedLCCFallback(t, field.QNTT)
+}
+
+func tamperedLCCFallback(t *testing.T, modulus uint64) {
+	f, opts := receiptField(t, modulus)
 	rng := rand.New(rand.NewSource(5))
 	x := fieldmat.Rand(f, rng, 72, 16)
 	corrupt := map[int]bool{1: true, 4: true, 7: true, 10: true}
@@ -202,9 +295,9 @@ func TestReceiptIdentifiesTamperedLCCFallback(t *testing.T) {
 			behaviors[i] = attack.Honest{}
 		}
 	}
-	m, err := New("lcc", f, NewConfig(
+	m, err := New("lcc", f, NewConfig(append(opts,
 		WithCoding(12, 9), WithBudgets(1, 1, 0), WithSeed(5), WithReceipts(true),
-	), map[string]*fieldmat.Matrix{"fwd": x}, behaviors, nil)
+	)...), map[string]*fieldmat.Matrix{"fwd": x}, behaviors, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +316,16 @@ func TestReceiptIdentifiesTamperedLCCFallback(t *testing.T) {
 	if len(bad.Workers) == 0 {
 		t.Fatal("no workers identified")
 	}
+	flagged := make(map[int]bool, len(bad.Workers))
 	for _, w := range bad.Workers {
 		if w.Group != 0 || !corrupt[w.Worker] {
 			t.Errorf("honest worker %v flagged", w)
+		}
+		flagged[w.Worker] = true
+	}
+	for _, w := range out.Receipt.Groups[0].Workers {
+		if corrupt[w.ID] && !flagged[w.ID] {
+			t.Errorf("corrupt worker %d is in the receipt but was not flagged", w.ID)
 		}
 	}
 }

@@ -290,8 +290,9 @@ func WithDeterministicKeys(deterministic bool) Option {
 // WithModulus pins the config to the prime field of modulus q (resolve it
 // with FieldFor). 0 — the default — leaves the field to the caller. The two
 // shipped moduli are field.QDefault (the paper's q = 2²⁵−39, Lagrange
-// codecs) and field.QNTT (11·2²¹+1, which unlocks the NTT fast path in
-// internal/mds); any other prime ≥ 5 works too.
+// layout beyond N = 8) and field.QNTT (11·2²¹+1, which puts every T = 0
+// code on the subgroup layout with its O(N log N) encode path — see
+// poly.CodeLayout); any other prime ≥ 5 works too.
 func WithModulus(q uint64) Option {
 	return func(c *Config) { c.Modulus = q }
 }
