@@ -117,11 +117,23 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a /v1/matvec request body: the JSON of cols field
+// elements (at most 20 decimal digits each) with generous room for
+// separators and whitespace. No valid request is larger, so the handler
+// stops reading there instead of buffering whatever a client sends.
+func maxBodyBytes(cols int) int64 { return 1024 + 64*int64(cols) }
+
 func (s *server) matvec(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Input []field.Elem `json:"input"`
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes(s.cols))
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -158,7 +170,8 @@ func (s *server) matvec(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Header.Get("X-Receipt") == "1" && out.Receipt != nil {
 		// The receipt is opt-in per request: it covers the whole coded round
-		// and is a few KB, so only tenants that verify should pay the bytes.
+		// and is ~257 KiB at 2880x96 (its opened matrix columns dominate), so
+		// only tenants that verify should pay the bytes.
 		resp["receipt"] = base64.StdEncoding.EncodeToString(commit.EncodeReceipt(out.Receipt))
 		resp["receipt_column"] = out.ReceiptColumn
 	}
@@ -217,7 +230,9 @@ func run(addr, schemeName string, rows, cols, n, k, sBudget, mBudget, shards, ba
 	svc := scheme.NewService(master, scheme.ServiceConfig{MaxBatch: batch, MaxLinger: linger, AuditReceipts: receipts})
 
 	srv := newServer(svc, master, f, cols)
-	server := &http.Server{Addr: addr, Handler: srv.handler()}
+	// ReadHeaderTimeout stops a client that opens a connection and trickles
+	// its headers from holding a connection slot forever.
+	server := &http.Server{Addr: addr, Handler: srv.handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	fmt.Printf("avccserve: %s over %q (%d,%d) x %d shard group(s) serving %dx%d matvec on %s (batch <= %d, linger %v)\n",

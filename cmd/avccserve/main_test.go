@@ -128,6 +128,24 @@ func TestMatvecRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestMatvecRejectsOversizeBody checks the body cap: a request far larger
+// than any valid cols-element input is cut off at maxBodyBytes and answered
+// 413, not buffered.
+func TestMatvecRejectsOversizeBody(t *testing.T) {
+	ts, x, _ := newTestServer(t, 1)
+	limit := maxBodyBytes(x.Cols)
+	body := append([]byte(`{"input": [`), bytes.Repeat([]byte("0, "), int(limit))...)
+	resp, err := http.Post(ts.URL+"/v1/matvec", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("oversize body: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+}
+
 // statzResponse mirrors the /statz JSON shape.
 type statzResponse struct {
 	Service struct {

@@ -14,18 +14,20 @@ import (
 //
 // Layout (all integers uvarint, all hashes raw 32 bytes):
 //
-//	magic "AVR2"
+//	magic "AVR3"
 //	scheme, roundKey (length-prefixed strings)
 //	iter, batch, gram
 //	inputs (length-prefixed elem vector)
 //	group count, then per group:
 //	  digest{root, rows, cols, ext, q}, n, k, blockRows
-//	  outputs, workers{id, alpha, outLen, root, aggregates, leaves},
+//	  outputs, workers{id, alpha, outLen, root, aggregates,
+//	    leaves{chunk index, chunk values, path}},
 //	  u, v, u2, v2, columns
 //
-// Version 2 ("AVR2") added the code length n; version-1 blobs are rejected
-// with an explicit error rather than misparsed.
-var codecMagic = [4]byte{'A', 'V', 'R', '2'}
+// Version 2 ("AVR2") added the code length n; version 3 ("AVR3") opens
+// worker outputs by OutputChunk-entry chunk instead of by entry. Older
+// blobs are rejected with an explicit version error rather than misparsed.
+var codecMagic = [4]byte{'A', 'V', 'R', '3'}
 
 type encoder struct{ buf []byte }
 
@@ -96,7 +98,7 @@ func EncodeReceipt(r *Receipt) []byte {
 			e.uvarint(uint64(len(w.Leaves)))
 			for _, l := range w.Leaves {
 				e.uvarint(uint64(l.Index))
-				e.uvarint(uint64(l.Value))
+				e.elems(l.Values)
 				e.hashes(l.Path)
 			}
 		}
@@ -239,8 +241,13 @@ func (d *decoder) elemMat() ([][]field.Elem, error) {
 func DecodeReceipt(data []byte) (*Receipt, error) {
 	d := &decoder{buf: data}
 	magic, err := d.raw(len(codecMagic))
-	if err == nil && string(magic) == "AVR1" {
-		return nil, fmt.Errorf("commit: receipt wire format v1 (AVR1) is no longer accepted: v2 (AVR2) carries the code length N; re-issue the receipt")
+	if err == nil {
+		switch string(magic) {
+		case "AVR1":
+			return nil, fmt.Errorf("commit: receipt wire format v1 (AVR1) is no longer accepted: v3 (AVR3) carries the code length N and chunked output openings; re-issue the receipt")
+		case "AVR2":
+			return nil, fmt.Errorf("commit: receipt wire format v2 (AVR2) is no longer accepted: v3 (AVR3) opens worker outputs by %d-entry chunk; re-issue the receipt", OutputChunk)
+		}
 	}
 	if err != nil || string(magic) != string(codecMagic[:]) {
 		return nil, fmt.Errorf("commit: not a receipt (bad magic)")
@@ -337,11 +344,9 @@ func DecodeReceipt(data []byte) (*Receipt, error) {
 				if l.Index, err = d.intVal(); err != nil {
 					return nil, err
 				}
-				value, err := d.uvarint()
-				if err != nil {
+				if l.Values, err = d.elems(); err != nil {
 					return nil, err
 				}
-				l.Value = field.Elem(value)
 				if l.Path, err = d.hashes(); err != nil {
 					return nil, err
 				}

@@ -109,14 +109,14 @@ func TestMerkleTreePaths(t *testing.T) {
 		leaves := make([]Hash, n)
 		for i := range vals {
 			vals[i] = field.Elem(100*n + i)
-			leaves[i] = OutputLeaf(i, vals[i])
+			leaves[i] = OutputLeaf(i, vals[i:i+1])
 		}
 		tree := NewTree(leaves)
 		for i := 0; i < n; i++ {
 			if !VerifyPath(tree.Root(), n, i, leaves[i], tree.Path(i)) {
 				t.Fatalf("n=%d: honest path for leaf %d rejected", n, i)
 			}
-			if VerifyPath(tree.Root(), n, i, OutputLeaf(i, vals[i]+1), tree.Path(i)) {
+			if VerifyPath(tree.Root(), n, i, OutputLeaf(i, []field.Elem{vals[i] + 1}), tree.Path(i)) {
 				t.Fatalf("n=%d: flipped leaf %d accepted", n, i)
 			}
 			if i != n-1 && VerifyPath(tree.Root(), n, i+1, leaves[i], tree.Path(i)) {
@@ -283,7 +283,7 @@ func TestTamperedReceiptRejected(t *testing.T) {
 		{"worker root", func(r *Receipt) { r.Groups[0].Workers[0].Root[0] ^= 1 }},
 		{"opened combination", func(r *Receipt) { r.Groups[0].U[0][0]++ }},
 		{"column value", func(r *Receipt) { r.Groups[0].Columns[0].Values[0]++ }},
-		{"leaf value", func(r *Receipt) { r.Groups[0].Workers[0].Leaves[0].Value++ }},
+		{"leaf value", func(r *Receipt) { r.Groups[0].Workers[0].Leaves[0].Values[0]++ }},
 	}
 	for _, m := range mutations {
 		is, rd := honestMatVec(7, 18, 7, 3, 5, 2)
@@ -323,12 +323,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatal("trailing byte accepted")
 		}
 	}
-	// Non-minimal varint: 0x80 0x00 encodes 0 in two bytes.
-	if _, err := DecodeReceipt([]byte{'A', 'V', 'R', '2', 0x80, 0x00}); err == nil {
-		t.Fatal("non-minimal varint accepted")
+	// Non-minimal varint: 0x80 0x00 encodes 0 in two bytes. The blob
+	// carries the current magic, so it reaches the varint check.
+	if _, err := DecodeReceipt([]byte{'A', 'V', 'R', '3', 0x80, 0x00}); err == nil || !strings.Contains(err.Error(), "non-minimal") {
+		t.Fatalf("non-minimal varint: want a non-minimal varint error, got %v", err)
 	}
-	if _, err := DecodeReceipt([]byte{'X', 'V', 'R', '2'}); err == nil {
-		t.Fatal("bad magic accepted")
+	if _, err := DecodeReceipt([]byte{'X', 'V', 'R', '3'}); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("bad magic: want a bad-magic error, got %v", err)
 	}
 }
 
@@ -342,6 +343,18 @@ func TestCodecRejectsV1(t *testing.T) {
 	_, err := DecodeReceipt(enc)
 	if err == nil || !strings.Contains(err.Error(), "v1 (AVR1)") {
 		t.Fatalf("AVR1 blob: want an explicit version error, got %v", err)
+	}
+}
+
+// TestCodecRejectsV2 pins the second wire-version bump: a version-2 blob
+// (one output entry per leaf opening) gets its own version error.
+func TestCodecRejectsV2(t *testing.T) {
+	is, rd := honestMatVec(8, 18, 7, 3, 5, 1)
+	enc := EncodeReceipt(mustIssue(t, is, rd))
+	copy(enc, "AVR2")
+	_, err := DecodeReceipt(enc)
+	if err == nil || !strings.Contains(err.Error(), "v2 (AVR2)") {
+		t.Fatalf("AVR2 blob: want an explicit version error, got %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package commit
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
@@ -126,17 +127,17 @@ func (mc *MatrixCommitment) OpenColumn(e int) ColumnOpening {
 // is the shard-plan group order); a single-group deployment folds its one
 // digest the same way so the fingerprint format is uniform.
 func FoldDigests(digests []Digest) string {
-	h := sha256.New()
-	h.Write([]byte("avcc/commit/digest-fold/v1"))
-	putUvarint(h, uint64(len(digests)))
+	buf := []byte("avcc/commit/digest-fold/v1")
+	buf = binary.AppendUvarint(buf, uint64(len(digests)))
 	for _, d := range digests {
-		h.Write(d.Root[:])
-		putUvarint(h, uint64(d.Rows))
-		putUvarint(h, uint64(d.Cols))
-		putUvarint(h, uint64(d.Ext))
-		putUvarint(h, d.Q)
+		buf = append(buf, d.Root[:]...)
+		buf = binary.AppendUvarint(buf, uint64(d.Rows))
+		buf = binary.AppendUvarint(buf, uint64(d.Cols))
+		buf = binary.AppendUvarint(buf, uint64(d.Ext))
+		buf = binary.AppendUvarint(buf, d.Q)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // DigestProvider is implemented by masters that issue receipts: it exposes

@@ -29,59 +29,103 @@ type Hash [HashSize]byte
 // Leaf and interior nodes hash under distinct first bytes so an interior
 // node can never be reinterpreted as a leaf (second-preimage hardening);
 // leaves additionally carry a domain string ("col" for matrix columns,
-// "out" for worker output entries) and their index, so no leaf of one tree
+// "out" for worker output chunks) and their index, so no leaf of one tree
 // collides with a leaf of another.
 const (
 	leafTag = 0x00
 	nodeTag = 0x01
 )
 
-func putUvarint(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	h.Write(buf[:n])
-}
+// OutputChunk is the number of output entries one "out" leaf commits: a
+// worker's output tree has ⌈OutLen/OutputChunk⌉ leaves, the last one short
+// when OutputChunk does not divide OutLen. 64 entries are 512 bytes of
+// leaf payload — one leaf hash per chunk instead of one per entry, as
+// SPRUCE's DECS layout commits a whole symbol vector per leaf.
+const OutputChunk = 64
 
-func hashLeaf(domain string, index int, payload []byte) Hash {
-	h := sha256.New()
-	h.Write([]byte{leafTag})
-	putUvarint(h, uint64(len(domain)))
-	h.Write([]byte(domain))
-	putUvarint(h, uint64(index))
-	h.Write(payload)
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
+// hashChunk is the size of the stack buffer sumElems hashes from: large
+// enough that a full output chunk plus its leaf header is a single
+// sha256.Sum256 call. Longer messages (matrix columns, long transcript
+// absorbs) stream through one hasher, up to hashChunk bytes at a time.
+const hashChunk = 8*OutputChunk + 64
 
-func hashNode(l, r Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{nodeTag})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// elemBytes serialises field elements as fixed 8-byte little-endian words —
-// the canonical byte form used by every leaf and every transcript absorb.
-func elemBytes(vs []field.Elem) []byte {
-	out := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
+// sumElems returns SHA-256(head ‖ le64(vs[0]) ‖ … ‖ le64(vs[len-1])): a
+// header, then each field element as its canonical 8-byte little-endian
+// word. Messages that fit in one hashChunk are a single sha256.Sum256 over
+// a stack buffer; longer ones stream through one hasher, a chunk of
+// elements at a time, so no byte copy of vs is ever materialised.
+//
+//avcc:noalloc
+func sumElems(head []byte, vs []field.Elem) Hash {
+	var buf [hashChunk]byte
+	if len(head)+8*len(vs) <= len(buf) {
+		n := copy(buf[:], head)
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(buf[n:], uint64(v))
+			n += 8
+		}
+		return sha256.Sum256(buf[:n])
 	}
+	h := sha256.New()
+	h.Write(head)
+	for len(vs) > 0 {
+		m := min(len(vs), len(buf)/8)
+		for i, v := range vs[:m] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		h.Write(buf[:8*m])
+		vs = vs[m:]
+	}
+	var out Hash
+	h.Sum(out[:0])
 	return out
+}
+
+// hashLeaf hashes leafTag ‖ uvarint(len(domain)) ‖ domain ‖ uvarint(index)
+// ‖ values. Domains are this package's three-byte constants, well inside
+// the header buffer.
+//
+//avcc:noalloc
+func hashLeaf(domain string, index int, values []field.Elem) Hash {
+	var head [32]byte
+	head[0] = leafTag
+	n := 1 + binary.PutUvarint(head[1:], uint64(len(domain)))
+	n += copy(head[n:], domain)
+	n += binary.PutUvarint(head[n:], uint64(index))
+	return sumElems(head[:n], values)
+}
+
+//avcc:noalloc
+func hashNode(l, r Hash) Hash {
+	var buf [1 + 2*HashSize]byte
+	buf[0] = nodeTag
+	copy(buf[1:], l[:])
+	copy(buf[1+HashSize:], r[:])
+	return sha256.Sum256(buf[:])
 }
 
 // ColumnLeaf hashes one committed matrix column (domain "col").
+//
+//avcc:noalloc
 func ColumnLeaf(index int, values []field.Elem) Hash {
-	return hashLeaf("col", index, elemBytes(values))
+	return hashLeaf("col", index, values)
 }
 
-// OutputLeaf hashes one entry of a worker's coded output (domain "out").
-func OutputLeaf(index int, value field.Elem) Hash {
-	return hashLeaf("out", index, elemBytes([]field.Elem{value}))
+// OutputLeaf hashes chunk index of a worker's coded output (domain "out"):
+// the entries [index·OutputChunk, min((index+1)·OutputChunk, OutLen)).
+//
+//avcc:noalloc
+func OutputLeaf(index int, chunk []field.Elem) Hash {
+	return hashLeaf("out", index, chunk)
+}
+
+// outputChunks is the leaf count of an outLen-entry output tree.
+func outputChunks(outLen int) int { return (outLen + OutputChunk - 1) / OutputChunk }
+
+// outputChunk returns chunk i of out (the last chunk may be short).
+func outputChunk(out []field.Elem, i int) []field.Elem {
+	lo := i * OutputChunk
+	return out[lo:min(lo+OutputChunk, len(out))]
 }
 
 // Tree is a Merkle tree over a fixed leaf sequence. An odd node at any
@@ -93,20 +137,29 @@ type Tree struct {
 	levels [][]Hash
 }
 
-// NewTree builds the tree; it panics on zero leaves (nothing in this
-// package commits to an empty sequence).
+// NewTree builds the tree over leaves and takes ownership of the slice:
+// it becomes the tree's bottom level, so the caller must not modify it
+// afterwards. It panics on zero leaves (nothing in this package commits to
+// an empty sequence).
 func NewTree(leaves []Hash) *Tree {
 	if len(leaves) == 0 {
 		panic("commit: merkle tree needs at least one leaf")
 	}
-	levels := [][]Hash{append([]Hash(nil), leaves...)}
-	for cur := levels[0]; len(cur) > 1; {
-		next := make([]Hash, 0, (len(cur)+1)/2)
+	// Every level above the leaves lives in one backing array.
+	upper := 0
+	for cnt := len(leaves); cnt > 1; cnt = (cnt + 1) / 2 {
+		upper += (cnt + 1) / 2
+	}
+	nodes := make([]Hash, upper)
+	levels := [][]Hash{leaves}
+	for cur := leaves; len(cur) > 1; {
+		next := nodes[:(len(cur)+1)/2]
+		nodes = nodes[len(next):]
 		for i := 0; i+1 < len(cur); i += 2 {
-			next = append(next, hashNode(cur[i], cur[i+1]))
+			next[i/2] = hashNode(cur[i], cur[i+1])
 		}
 		if len(cur)%2 == 1 {
-			next = append(next, cur[len(cur)-1])
+			next[len(next)-1] = cur[len(cur)-1]
 		}
 		levels = append(levels, next)
 		cur = next
@@ -159,12 +212,12 @@ func VerifyPath(root Hash, leaves, index int, leaf Hash, path []Hash) bool {
 	return pi == len(path) && cur == root
 }
 
-// outputTree builds the Merkle tree a worker commits its coded output under:
-// one "out"-domain leaf per output entry.
+// outputTree builds the Merkle tree a worker commits its coded output
+// under: one "out"-domain leaf per OutputChunk entries.
 func outputTree(out []field.Elem) *Tree {
-	leaves := make([]Hash, len(out))
-	for i, v := range out {
-		leaves[i] = OutputLeaf(i, v)
+	leaves := make([]Hash, outputChunks(len(out)))
+	for i := range leaves {
+		leaves[i] = OutputLeaf(i, outputChunk(out, i))
 	}
 	return NewTree(leaves)
 }

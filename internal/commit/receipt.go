@@ -10,7 +10,7 @@ import (
 // receiptDomain separates this protocol's transcripts from any other use of
 // the Transcript type; bump the version on any change to the absorb
 // schedule, the challenge schedule, or the receipt layout.
-const receiptDomain = "avcc/commit/receipt/v2"
+const receiptDomain = "avcc/commit/receipt/v3"
 
 // Soundness knobs. Each sampled column catches an inconsistent opened
 // linear combination with probability ≥ 1/2 (the rate-1/2 row code has
@@ -20,7 +20,7 @@ const receiptDomain = "avcc/commit/receipt/v2"
 const (
 	// ColumnSamples is the number of Merkle-opened matrix columns per group.
 	ColumnSamples = 20
-	// LeafSamples is the number of Merkle-opened output entries per worker,
+	// LeafSamples is the number of Merkle-opened output chunks per worker,
 	// binding each worker's commitment root to actual committed leaves.
 	LeafSamples = 4
 )
@@ -35,12 +35,17 @@ type ColumnOpening struct {
 	Path []Hash
 }
 
-// LeafOpening is one Merkle-authenticated entry of a worker's committed
+// LeafOpening is one Merkle-authenticated chunk of a worker's committed
 // output.
 type LeafOpening struct {
+	// Index is the chunk index in [0, ⌈OutLen/OutputChunk⌉).
 	Index int
-	Value field.Elem
-	Path  []Hash
+	// Values are the chunk's entries: OutputChunk of them, fewer for the
+	// last chunk when OutputChunk does not divide OutLen.
+	Values []field.Elem
+	// Path authenticates OutputLeaf(Index, Values) against the worker's
+	// Root.
+	Path []Hash
 }
 
 // WorkerOpening is one worker's contribution to a group receipt.
@@ -52,14 +57,15 @@ type WorkerOpening struct {
 	Alpha field.Elem
 	// Root is the Merkle root the worker committed its coded output under.
 	Root Hash
-	// OutLen is the committed output length (leaf count of Root's tree).
+	// OutLen is the committed output length; Root's tree has
+	// ⌈OutLen/OutputChunk⌉ leaves.
 	OutLen int
 	// Aggregates are the φ-masked linear aggregates of the worker's actual
 	// output — one per batch column (one total for Gram rounds). The
 	// verifier recomputes the expected value of each from the digest-bound
 	// openings; a mismatch identifies this worker as inconsistent.
 	Aggregates []field.Elem
-	// Leaves are spot openings of the committed output at
+	// Leaves are spot openings of the committed output's chunks at
 	// transcript-derived indices.
 	Leaves []LeafOpening
 }
@@ -171,7 +177,7 @@ func (g *GroupReceipt) drawChallenges(t *Transcript, f *field.Field, gram bool) 
 
 // transcriptOpenings replays the second half of the schedule — absorbing
 // the opened combinations and aggregates, then deriving which columns and
-// which output leaves must be opened.
+// which output chunks must be opened.
 func (g *GroupReceipt) transcriptOpenings(t *Transcript) (cols []int, leaves [][]int) {
 	for _, u := range g.U {
 		t.AbsorbElems("u", u)
@@ -191,7 +197,7 @@ func (g *GroupReceipt) transcriptOpenings(t *Transcript) (cols []int, leaves [][
 	cols = t.ChallengeIndices("columns", ColumnSamples, g.Digest.Ext)
 	leaves = make([][]int, len(g.Workers))
 	for i, w := range g.Workers {
-		leaves[i] = t.ChallengeIndices("leaves", LeafSamples, w.OutLen)
+		leaves[i] = t.ChallengeIndices("leaves", LeafSamples, outputChunks(w.OutLen))
 	}
 	return cols, leaves
 }
@@ -261,10 +267,7 @@ func (is *Issuer) Digests() map[string][]Digest {
 // rows are zero and contribute nothing, so the issuer never materialises
 // them).
 func blockCombo(f *field.Field, x *fieldmat.Matrix, k, b int, coeff func(p int) field.Elem) []field.Elem {
-	lo, hi := k*b, (k+1)*b
-	if hi > x.Rows {
-		hi = x.Rows
-	}
+	lo, hi := blockSpan(k, b, x.Rows)
 	acc := f.NewLazyAcc(make([]uint64, x.Cols))
 	for p := lo; p < hi; p++ {
 		acc.AXPY(coeff(p), x.Row(p))
@@ -413,9 +416,9 @@ func (is *Issuer) Issue(rd Round) (*Receipt, error) {
 		opens := make([]LeafOpening, len(leafIdx[i]))
 		for j, idx := range leafIdx[i] {
 			opens[j] = LeafOpening{
-				Index: idx,
-				Value: rd.Workers[i].Output[idx],
-				Path:  trees[i].Path(idx),
+				Index:  idx,
+				Values: field.CopyVec(outputChunk(rd.Workers[i].Output, idx)),
+				Path:   trees[i].Path(idx),
 			}
 		}
 		g.Workers[i].Leaves = opens

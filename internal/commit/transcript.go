@@ -29,50 +29,53 @@ func NewTranscript(domain string) *Transcript {
 	return t
 }
 
-func (t *Transcript) absorb(label string, data []byte) {
-	h := sha256.New()
-	h.Write(t.state[:])
-	putUvarint(h, uint64(len(label)))
-	h.Write([]byte(label))
-	putUvarint(h, uint64(len(data)))
-	h.Write(data)
-	h.Sum(t.state[:0])
+// absorb sets state ← H(state ‖ uvarint(len(label)) ‖ label ‖ uvarint(len(msg))
+// ‖ msg), where msg is data followed by the 8-byte words of vs (callers
+// pass one or the other). The header is built in a stack buffer — only a
+// label or byte string longer than the buffer makes append spill it to the
+// heap — and the elements stream straight into the hash.
+func (t *Transcript) absorb(label string, data []byte, vs []field.Elem) {
+	var buf [hashChunk]byte
+	head := append(buf[:0], t.state[:]...)
+	head = binary.AppendUvarint(head, uint64(len(label)))
+	head = append(head, label...)
+	head = binary.AppendUvarint(head, uint64(len(data)+8*len(vs)))
+	head = append(head, data...)
+	t.state = sumElems(head, vs)
 }
 
 // AbsorbBytes mixes raw bytes into the state under a label.
-func (t *Transcript) AbsorbBytes(label string, data []byte) { t.absorb(label, data) }
+func (t *Transcript) AbsorbBytes(label string, data []byte) { t.absorb(label, data, nil) }
 
 // AbsorbString mixes a string into the state under a label.
-func (t *Transcript) AbsorbString(label, s string) { t.absorb(label, []byte(s)) }
+func (t *Transcript) AbsorbString(label, s string) { t.absorb(label, []byte(s), nil) }
 
 // AbsorbInt mixes one unsigned integer into the state under a label.
 func (t *Transcript) AbsorbInt(label string, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
-	t.absorb(label, buf[:n])
+	t.absorb(label, buf[:n], nil)
 }
 
 // AbsorbElems mixes a field-element vector into the state under a label
 // (canonical 8-byte little-endian words).
 func (t *Transcript) AbsorbElems(label string, vs []field.Elem) {
-	t.absorb(label, elemBytes(vs))
+	t.absorb(label, nil, vs)
 }
 
 // AbsorbHash mixes one digest into the state under a label.
-func (t *Transcript) AbsorbHash(label string, h Hash) { t.absorb(label, h[:]) }
+func (t *Transcript) AbsorbHash(label string, h Hash) { t.absorb(label, h[:], nil) }
 
 // block is the counter-mode squeeze: 32 pseudo-random bytes per counter
 // value, all derived from the current state without advancing it.
+//
+//avcc:noalloc
 func (t *Transcript) block(ctr uint64) [HashSize]byte {
-	h := sha256.New()
-	h.Write(t.state[:])
-	h.Write([]byte("squeeze"))
-	var cb [8]byte
-	binary.LittleEndian.PutUint64(cb[:], ctr)
-	h.Write(cb[:])
-	var out [HashSize]byte
-	h.Sum(out[:0])
-	return out
+	var buf [HashSize + len("squeeze") + 8]byte
+	n := copy(buf[:], t.state[:])
+	n += copy(buf[n:], "squeeze")
+	binary.LittleEndian.PutUint64(buf[n:], ctr)
+	return sha256.Sum256(buf[:])
 }
 
 // ChallengeElems derives n uniform field elements by rejection-sampling

@@ -77,6 +77,13 @@ func (r *Receipt) Verify() error {
 	return nil
 }
 
+// blockSpan returns the real (unpadded) rows [lo, hi) of data block kk of
+// b rows over a rows-row matrix; trailing blocks may be partly or wholly
+// padding, so the span can be short or empty.
+func blockSpan(kk, b, rows int) (lo, hi int) {
+	return min(kk*b, rows), min((kk+1)*b, rows)
+}
+
 // canonical reports whether every element is a reduced residue mod q.
 func canonical(q uint64, vs []field.Elem) bool {
 	for _, v := range vs {
@@ -213,7 +220,17 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	if len(g.Columns) != len(colIdx) {
 		return nil, false, fmt.Errorf("%d column openings, want %d", len(g.Columns), len(colIdx))
 	}
+	// The interpolation weights of every opened extension column come from
+	// one batched computation: the Lagrange denominators depend only on the
+	// systematic points, so they are shared across targets.
 	points := d.Points(f)
+	var extTargets []field.Elem
+	for _, e := range colIdx {
+		if e >= d.Cols {
+			extTargets = append(extTargets, points[e])
+		}
+	}
+	extWeights := poly.InterpWeightsBatch(f, points[:d.Cols], extTargets)
 	for i, co := range g.Columns {
 		e := colIdx[i]
 		if co.Index != e {
@@ -229,7 +246,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		// equal the same challenge combination of the column itself.
 		var weights []field.Elem
 		if e >= d.Cols {
-			weights = poly.InterpWeights(f, points[:d.Cols], points[e])
+			weights, extWeights = extWeights[0], extWeights[1:]
 		}
 		at := func(vec []field.Elem) field.Elem {
 			if e < d.Cols {
@@ -238,19 +255,11 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			return f.Dot(weights, vec)
 		}
 		colAt := func(coeff []field.Elem, perBlock bool, kk int) field.Elem {
-			lo, hi := kk*b, (kk+1)*b
-			if hi > d.Rows {
-				hi = d.Rows
+			lo, hi := blockSpan(kk, b, d.Rows)
+			if perBlock {
+				return f.Dot(coeff[:hi-lo], co.Values[lo:hi])
 			}
-			var acc field.Elem
-			for p := lo; p < hi; p++ {
-				c := coeff[p-lo]
-				if !perBlock {
-					c = coeff[p]
-				}
-				acc = f.MulAdd(acc, c, co.Values[p])
-			}
-			return acc
+			return f.Dot(coeff[lo:hi], co.Values[lo:hi])
 		}
 		for kk := 0; kk < k; kk++ {
 			if at(g.U[kk]) != colAt(rT, false, kk) {
@@ -270,22 +279,27 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 		}
 	}
 
-	// Worker leaf openings: exactly the derived indices, each
-	// Merkle-authenticated against the worker's committed root.
+	// Worker chunk openings: exactly the derived indices, each the right
+	// length for its position, canonical, and Merkle-authenticated against
+	// the worker's committed root.
 	for i, w := range g.Workers {
 		if len(w.Leaves) != len(leafIdx[i]) {
 			return nil, false, fmt.Errorf("worker %d has %d leaf openings, want %d", w.ID, len(w.Leaves), len(leafIdx[i]))
 		}
+		chunks := outputChunks(w.OutLen)
 		for j, lo := range w.Leaves {
 			idx := leafIdx[i][j]
 			if lo.Index != idx {
-				return nil, false, fmt.Errorf("worker %d leaf opening %d is for index %d, transcript demands %d", w.ID, j, lo.Index, idx)
+				return nil, false, fmt.Errorf("worker %d leaf opening %d is for chunk %d, transcript demands %d", w.ID, j, lo.Index, idx)
 			}
-			if uint64(lo.Value) >= d.Q {
-				return nil, false, fmt.Errorf("worker %d leaf %d non-canonical", w.ID, idx)
+			if want := min(OutputChunk, w.OutLen-idx*OutputChunk); len(lo.Values) != want {
+				return nil, false, fmt.Errorf("worker %d chunk %d has %d entries, want %d", w.ID, idx, len(lo.Values), want)
 			}
-			if !VerifyPath(w.Root, w.OutLen, idx, OutputLeaf(idx, lo.Value), lo.Path) {
-				return nil, false, fmt.Errorf("worker %d leaf %d fails Merkle authentication", w.ID, idx)
+			if !canonical(d.Q, lo.Values) {
+				return nil, false, fmt.Errorf("worker %d chunk %d non-canonical", w.ID, idx)
+			}
+			if !VerifyPath(w.Root, chunks, idx, OutputLeaf(idx, lo.Values), lo.Path) {
+				return nil, false, fmt.Errorf("worker %d chunk %d fails Merkle authentication", w.ID, idx)
 			}
 		}
 	}
@@ -311,15 +325,8 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			y := g.Outputs[c]
 			w := r.Inputs[c*d.Cols : (c+1)*d.Cols]
 			for kk := 0; kk < k; kk++ {
-				lo, hi := kk*b, (kk+1)*b
-				if hi > d.Rows {
-					hi = d.Rows
-				}
-				var lhs field.Elem
-				for p := lo; p < hi; p++ {
-					lhs = f.MulAdd(lhs, rT[p], y[p])
-				}
-				if lhs != f.Dot(g.U[kk], w) {
+				lo, hi := blockSpan(kk, b, d.Rows)
+				if f.Dot(rT[lo:hi], y[lo:hi]) != f.Dot(g.U[kk], w) {
 					outputMismatch = true
 				}
 			}
@@ -330,10 +337,14 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 	// digest-bound expectation Σ_k ℓ_k(α_i)·(φᵀX_k)·w — the coded shard's
 	// φ-mask, predictable from the commitment alone because Lagrange
 	// encoding is linear over the data blocks.
-	betas := layout.Betas
+	alphas := make([]field.Elem, len(g.Workers))
+	for i, w := range g.Workers {
+		alphas[i] = w.Alpha
+	}
+	workerWeights := poly.InterpWeightsBatch(f, layout.Betas, alphas)
 	if r.Gram {
 		for i, w := range g.Workers {
-			wt := poly.InterpWeights(f, betas, w.Alpha)
+			wt := workerWeights[i]
 			sumV := make([]field.Elem, d.Cols)
 			sumV2 := make([]field.Elem, d.Cols)
 			for kk := 0; kk < k; kk++ {
@@ -354,7 +365,7 @@ func (g *GroupReceipt) verify(r *Receipt) (badWorkers []int, outputMismatch bool
 			}
 		}
 		for i, w := range g.Workers {
-			wt := poly.InterpWeights(f, betas, w.Alpha)
+			wt := workerWeights[i]
 			ok := true
 			for c := 0; c < r.Batch && ok; c++ {
 				var want field.Elem
