@@ -11,9 +11,13 @@ package repro_test
 //   - Receipt size: the encoded bytes a tenant downloads per round.
 //   - Verify cost: the tenant-side offline Verify time.
 //
-// When the full matrix runs (`go test -bench BenchmarkReceipts`), the rows
-// are written to BENCH_receipts.json, the committed overhead artifact; 1x
-// smoke runs (CI's bench-smoke job) execute every body but skip the write.
+// One 20-round run per arm moves by tens of percent on a shared host, so
+// the benchmark runs each arm receiptsRuns times, alternating the arms, and
+// the committed artifact records every row's median and interquartile
+// range; overhead_ratio is the ratio of the medians. `go test -run '^$'
+// -bench BenchmarkReceipts -benchtime 20x .` writes BENCH_receipts.json;
+// 1x smoke runs (CI's bench-smoke job) execute every body but skip the
+// write.
 
 import (
 	"context"
@@ -21,7 +25,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
+	"sort"
 	"testing"
 	"time"
 
@@ -32,105 +36,145 @@ import (
 	"repro/internal/simnet"
 )
 
-// receiptsRow is one BENCH_receipts.json entry.
+// receiptsRuns is how many runs of each arm the artifact summarises.
+const receiptsRuns = 7
+
+// receiptsRow is one BENCH_receipts.json entry: medians over Runs runs of
+// Rounds rounds each, with the interquartile ranges beside them.
 type receiptsRow struct {
-	Receipts   bool    `json:"receipts"`
-	Rounds     int     `json:"rounds"`
-	NsPerRound float64 `json:"ns_per_round"`
-	// ReceiptBytes and VerifyMs are 0 for the receipt-off arm.
+	Receipts      bool    `json:"receipts"`
+	Runs          int     `json:"runs"`
+	Rounds        int     `json:"rounds"`
+	NsPerRound    float64 `json:"ns_per_round"`
+	NsPerRoundIQR float64 `json:"ns_per_round_iqr"`
+	// ReceiptBytes, VerifyMs and VerifyMsIQR are 0 for the receipt-off arm.
 	ReceiptBytes int     `json:"receipt_bytes"`
 	VerifyMs     float64 `json:"verify_ms"`
+	VerifyMsIQR  float64 `json:"verify_ms_iqr"`
 }
 
-var (
-	receiptsMu      sync.Mutex
-	receiptsResults = map[bool]receiptsRow{}
-)
+// receiptsSample is one run of one arm.
+type receiptsSample struct {
+	rounds       int
+	nsPerRound   float64
+	receiptBytes int
+	verifyMs     float64
+}
+
+// medianIQR returns the median of xs and the distance between its
+// quartiles, interpolating linearly between order statistics.
+func medianIQR(xs []float64) (median, iqr float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return q(0.5), q(0.75) - q(0.25)
+}
+
+// summarise folds one arm's runs into its artifact row.
+func summarise(receipts bool, samples []receiptsSample) receiptsRow {
+	ns := make([]float64, len(samples))
+	verify := make([]float64, len(samples))
+	size := make([]float64, len(samples))
+	for i, s := range samples {
+		ns[i], verify[i], size[i] = s.nsPerRound, s.verifyMs, float64(s.receiptBytes)
+	}
+	row := receiptsRow{Receipts: receipts, Runs: len(samples), Rounds: samples[0].rounds}
+	row.NsPerRound, row.NsPerRoundIQR = medianIQR(ns)
+	row.VerifyMs, row.VerifyMsIQR = medianIQR(verify)
+	bytes, _ := medianIQR(size)
+	row.ReceiptBytes = int(bytes)
+	return row
+}
 
 func BenchmarkReceipts(b *testing.B) {
 	f := field.Default()
 	const rows, cols = 2880, 96
 
-	for _, receipts := range []bool{false, true} {
-		b.Run(fmt.Sprintf("receipts=%v", receipts), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(42))
-			x := fieldmat.Rand(f, rng, rows, cols)
-			sim := simnet.DefaultConfig()
-			sim.LinkLatency = 1e-5
-			m, err := scheme.New("avcc", f, scheme.NewConfig(
-				scheme.WithSeed(42),
-				scheme.WithSim(sim),
-				scheme.WithReceipts(receipts),
-				scheme.WithDeterministicKeys(true),
-			), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			in := f.RandVec(rng, cols)
-			want := fieldmat.MatVec(f, x, in)
-
-			b.ResetTimer()
-			start := time.Now()
-			var rec *commit.Receipt
-			for i := 0; i < b.N; i++ {
-				out, err := m.RunRound(context.Background(), "fwd", in, i)
+	samples := map[bool][]receiptsSample{}
+	for run := 0; run < receiptsRuns; run++ {
+		for _, receipts := range []bool{false, true} {
+			b.Run(fmt.Sprintf("receipts=%v", receipts), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(42))
+				x := fieldmat.Rand(f, rng, rows, cols)
+				sim := simnet.DefaultConfig()
+				sim.LinkLatency = 1e-5
+				m, err := scheme.New("avcc", f, scheme.NewConfig(
+					scheme.WithSeed(42),
+					scheme.WithSim(sim),
+					scheme.WithReceipts(receipts),
+					scheme.WithDeterministicKeys(true),
+				), map[string]*fieldmat.Matrix{"fwd": x}, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				rec = out.Receipt
-			}
-			elapsed := time.Since(start)
-			b.StopTimer()
+				in := f.RandVec(rng, cols)
+				want := fieldmat.MatVec(f, x, in)
 
-			// The decode must stay exact either way; with receipts on, the
-			// last round's receipt must verify — a benchmark that times a
-			// broken plane measures nothing.
-			out, err := m.RunRound(context.Background(), "fwd", in, b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !field.EqualVec(out.Decoded, want) {
-				b.Fatal("decode is not the exact product")
-			}
-			row := receiptsRow{
-				Receipts:   receipts,
-				Rounds:     b.N,
-				NsPerRound: float64(elapsed.Nanoseconds()) / float64(b.N),
-			}
-			if receipts {
-				if rec == nil {
-					b.Fatal("receipts on but the round carried none")
+				b.ResetTimer()
+				start := time.Now()
+				var rec *commit.Receipt
+				for i := 0; i < b.N; i++ {
+					out, err := m.RunRound(context.Background(), "fwd", in, i)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rec = out.Receipt
 				}
-				enc := commit.EncodeReceipt(rec)
-				row.ReceiptBytes = len(enc)
-				vstart := time.Now()
-				if err := rec.Verify(); err != nil {
-					b.Fatalf("receipt rejected: %v", err)
+				elapsed := time.Since(start)
+				b.StopTimer()
+
+				// The decode must stay exact either way; with receipts on, the
+				// last round's receipt must verify — a benchmark that times a
+				// broken plane measures nothing.
+				out, err := m.RunRound(context.Background(), "fwd", in, b.N)
+				if err != nil {
+					b.Fatal(err)
 				}
-				row.VerifyMs = time.Since(vstart).Seconds() * 1e3
-				b.ReportMetric(float64(row.ReceiptBytes), "receipt-B")
-				b.ReportMetric(row.VerifyMs, "verify-ms")
-			}
-			if b.N > 1 {
-				receiptsMu.Lock()
-				receiptsResults[receipts] = row
-				receiptsMu.Unlock()
-			}
-		})
+				if !field.EqualVec(out.Decoded, want) {
+					b.Fatal("decode is not the exact product")
+				}
+				sample := receiptsSample{
+					rounds:     b.N,
+					nsPerRound: float64(elapsed.Nanoseconds()) / float64(b.N),
+				}
+				if receipts {
+					if rec == nil {
+						b.Fatal("receipts on but the round carried none")
+					}
+					sample.receiptBytes = len(commit.EncodeReceipt(rec))
+					vstart := time.Now()
+					if err := rec.Verify(); err != nil {
+						b.Fatalf("receipt rejected: %v", err)
+					}
+					sample.verifyMs = time.Since(vstart).Seconds() * 1e3
+					b.ReportMetric(float64(sample.receiptBytes), "receipt-B")
+					b.ReportMetric(sample.verifyMs, "verify-ms")
+				}
+				if b.N > 1 {
+					samples[receipts] = append(samples[receipts], sample)
+				}
+			})
+		}
 	}
 
-	receiptsMu.Lock()
-	defer receiptsMu.Unlock()
-	off, okOff := receiptsResults[false]
-	on, okOn := receiptsResults[true]
-	if !okOff || !okOn {
+	offRuns, onRuns := samples[false], samples[true]
+	if len(offRuns) < receiptsRuns || len(onRuns) < receiptsRuns {
 		b.Log("skipping BENCH_receipts.json: incomplete sweep (smoke run)")
 		return
 	}
+	off, on := summarise(false, offRuns), summarise(true, onRuns)
 	data, err := json.MarshalIndent(map[string]any{
 		"benchmark": "BenchmarkReceipts",
 		"workload": fmt.Sprintf("avcc (12,9) virtual executor, %dx%d matvec rounds (compute-bound sim); "+
-			"overhead_ratio is receipt-on round latency over receipt-off", rows, cols),
+			"rows are medians over runs with interquartile ranges; "+
+			"overhead_ratio is the median receipt-on round latency over the median receipt-off one", rows, cols),
 		"overhead_ratio": on.NsPerRound / off.NsPerRound,
 		"rows":           []receiptsRow{off, on},
 	}, "", "  ")

@@ -203,6 +203,38 @@ func (s *server) statz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// The server's deadlines bound what one slow or stalled client can hold
+// (a connection slot and a handler goroutine), each sized for the largest
+// valid exchange rather than tuned:
+//   - readHeaderTimeout: a client trickling its headers;
+//   - readTimeout: the whole request, whose body maxBodyBytes caps at
+//     1024 + 64·cols bytes;
+//   - writeTimeout: from the end of the request headers to the last
+//     response byte, so it covers queueing, the coded round and a ~257 KiB
+//     receipt (~343 KiB as base64) to a slow client;
+//   - idleTimeout: a keep-alive connection waiting for its next request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// timeouts are an http.Server's deadlines; tests shorten them.
+type timeouts struct{ readHeader, read, write, idle time.Duration }
+
+// newHTTPServer serves h on addr under the deadlines t.
+func newHTTPServer(addr string, h http.Handler, t timeouts) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		WriteTimeout:      t.write,
+		IdleTimeout:       t.idle,
+	}
+}
+
 func run(addr, schemeName string, rows, cols, n, k, sBudget, mBudget, shards, batch int, linger time.Duration, seed int64, receipts bool, rc *shard.RebalanceConfig) error {
 	f := field.Default()
 	rng := rand.New(rand.NewSource(seed))
@@ -230,9 +262,9 @@ func run(addr, schemeName string, rows, cols, n, k, sBudget, mBudget, shards, ba
 	svc := scheme.NewService(master, scheme.ServiceConfig{MaxBatch: batch, MaxLinger: linger, AuditReceipts: receipts})
 
 	srv := newServer(svc, master, f, cols)
-	// ReadHeaderTimeout stops a client that opens a connection and trickles
-	// its headers from holding a connection slot forever.
-	server := &http.Server{Addr: addr, Handler: srv.handler(), ReadHeaderTimeout: 10 * time.Second}
+	server := newHTTPServer(addr, srv.handler(), timeouts{
+		readHeader: readHeaderTimeout, read: readTimeout, write: writeTimeout, idle: idleTimeout,
+	})
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	fmt.Printf("avccserve: %s over %q (%d,%d) x %d shard group(s) serving %dx%d matvec on %s (batch <= %d, linger %v)\n",

@@ -7,12 +7,15 @@ package main
 // need a round that blocks on demand, which no real executor offers).
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -37,6 +40,13 @@ func newTestServer(t *testing.T, shards int) (*httptest.Server, *fieldmat.Matrix
 // newReceiptTestServer is newTestServer with the committed-verification
 // plane switchable.
 func newReceiptTestServer(t *testing.T, shards int, receipts bool) (*httptest.Server, *fieldmat.Matrix, *field.Field) {
+	return newDeployedServer(t, shards, receipts, nil)
+}
+
+// newDeployedServer deploys the test matrix behind the handler, served
+// under the deadlines to when they are given (httptest's defaults, none,
+// otherwise).
+func newDeployedServer(t *testing.T, shards int, receipts bool, to *timeouts) (*httptest.Server, *fieldmat.Matrix, *field.Field) {
 	t.Helper()
 	f := field.Default()
 	rng := rand.New(rand.NewSource(5))
@@ -50,7 +60,11 @@ func newReceiptTestServer(t *testing.T, shards int, receipts bool) (*httptest.Se
 		t.Fatal(err)
 	}
 	svc := scheme.NewService(master, scheme.ServiceConfig{MaxBatch: 8, AuditReceipts: receipts})
-	ts := httptest.NewServer(newServer(svc, master, f, x.Cols).handler())
+	ts := httptest.NewUnstartedServer(newServer(svc, master, f, x.Cols).handler())
+	if to != nil {
+		ts.Config = newHTTPServer("", ts.Config.Handler, *to)
+	}
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close(context.Background())
@@ -143,6 +157,61 @@ func TestMatvecRejectsOversizeBody(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("oversize body: status %d (%s), want 413", resp.StatusCode, msg)
+	}
+}
+
+// TestTricklingBodyIsCutOff checks the read deadline: a client that sends
+// its headers promptly and then trickles the body is answered with an
+// error and disconnected once the deadline passes, long before its body
+// would be complete, while a prompt request on the same server succeeds.
+func TestTricklingBodyIsCutOff(t *testing.T) {
+	const readLimit = 300 * time.Millisecond
+	ts, x, _ := newDeployedServer(t, 1, false, &timeouts{
+		readHeader: readLimit, read: readLimit, write: 5 * time.Second, idle: 5 * time.Second,
+	})
+	if resp := postMatvec(t, ts.URL, "", make([]field.Elem, x.Cols)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("prompt request: status %d", resp.StatusCode)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// 200 body bytes at one per 20 ms would take 4 s.
+	const bodyLen, gap = 200, 20 * time.Millisecond
+	fmt.Fprintf(conn, "POST /v1/matvec HTTP/1.1\r\nHost: avcc\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", bodyLen)
+	start := time.Now()
+	stop := make(chan struct{})
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		body := append([]byte(`{"input": [`), bytes.Repeat([]byte(" "), bodyLen)...)[:bodyLen]
+		for _, b := range body {
+			select {
+			case <-stop:
+				return
+			case <-time.After(gap):
+			}
+			if _, err := conn.Write([]byte{b}); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-trickled }()
+
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("no response to the trickling client after %v: %v", elapsed, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trickling client: status %d, want 400", resp.StatusCode)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("trickling client cut off only after %v (read deadline %v)", elapsed, readLimit)
 	}
 }
 

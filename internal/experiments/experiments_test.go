@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/logreg"
 )
 
 // tiny returns a scale small enough for unit tests while keeping the full
@@ -251,5 +254,35 @@ func TestRenderFig3AndFig4(t *testing.T) {
 	}
 	if out := res4.Render(); !strings.Contains(out, "fig4b") || !strings.Contains(out, "verify") {
 		t.Error("fig4 render incomplete")
+	}
+}
+
+// TestPaperLearningRateDescends guards the paper-scale step size: over the
+// float reference's first eight iterations the training loss must not rise
+// and test accuracy must hold. At η = 1e-5 the step overshoots: accuracy
+// falls to 0.69 at iteration 3 and the loss rises from iteration 5 on.
+func TestPaperLearningRateDescends(t *testing.T) {
+	sc := Paper()
+	sc.Dataset.Seed = sc.Seed
+	ds, err := dataset.Generate(sc.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := (&logreg.Model{W: make([]float64, ds.Cols)}).CrossEntropy(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols)
+	for k := 2; k <= 8; k += 2 {
+		cfg := sc.Train
+		cfg.Iterations = k
+		model, err := logreg.TrainLocal(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loss := model.CrossEntropy(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols)
+		acc := model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols)
+		t.Logf("after %d iterations: train loss %.4f, test accuracy %.3f", k, loss, acc)
+		if loss > prev || acc < 0.99 {
+			t.Fatalf("learning rate %g: after %d iterations train loss %.4f (previous %.4f), test accuracy %.3f",
+				cfg.LearningRate, k, loss, prev, acc)
+		}
+		prev = loss
 	}
 }

@@ -52,44 +52,28 @@ func (m *Model) PredictProb(x []float64) float64 {
 	return Sigmoid(dot)
 }
 
-// Accuracy returns the 0/1 accuracy over a row-major feature block.
+// Accuracy returns the 0/1 accuracy over a row-major feature block (0 for
+// no rows). The features must be exact in float32, as the dataset's
+// integer features are; otherwise, or if x holds fewer than rows·cols
+// values, it returns NaN. With finite weights the result equals a dense
+// row-by-row evaluation bit for bit (see sparseRows).
 func (m *Model) Accuracy(x []float64, y []float64, rows, cols int) float64 {
-	if rows == 0 {
-		return 0
+	s, err := newSparseRows(x, rows, cols)
+	if err != nil {
+		return math.NaN()
 	}
-	correct := 0
-	for i := 0; i < rows; i++ {
-		p := m.PredictProb(x[i*cols : (i+1)*cols])
-		pred := 0.0
-		if p >= 0.5 {
-			pred = 1
-		}
-		if pred == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(rows)
+	return s.accuracy(m.W, y)
 }
 
 // CrossEntropy returns the mean cross-entropy loss (eq. 4), clamping
-// probabilities away from {0,1} to keep the loss finite.
+// probabilities away from {0,1} to keep the loss finite. It has Accuracy's
+// preconditions and returns NaN where Accuracy does.
 func (m *Model) CrossEntropy(x []float64, y []float64, rows, cols int) float64 {
-	if rows == 0 {
-		return 0
+	s, err := newSparseRows(x, rows, cols)
+	if err != nil {
+		return math.NaN()
 	}
-	const eps = 1e-12
-	var sum float64
-	for i := 0; i < rows; i++ {
-		p := m.PredictProb(x[i*cols : (i+1)*cols])
-		if p < eps {
-			p = eps
-		}
-		if p > 1-eps {
-			p = 1 - eps
-		}
-		sum += -y[i]*math.Log(p) - (1-y[i])*math.Log(1-p)
-	}
-	return sum / float64(rows)
+	return s.crossEntropy(m.W, y)
 }
 
 // TrainConfig controls a training run.
@@ -135,6 +119,9 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 	if cfg.Iterations < 1 {
 		return nil, nil, fmt.Errorf("logreg: need at least one iteration")
 	}
+	if !isFinite(cfg.LearningRate) || !isFinite(cfg.InitialWeight) {
+		return nil, nil, fmt.Errorf("logreg: learning rate %v and initial weight %v must be finite", cfg.LearningRate, cfg.InitialWeight)
+	}
 	qw := quant.New(f, cfg.WeightBits)
 	qe := quant.New(f, cfg.ErrorBits)
 	// No-wrap-around guard, using the dataset's actual L1 geometry rather
@@ -149,6 +136,19 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 	}
 	if worst := ds.MaxColL1() * qe.Scale(); worst > window {
 		return nil, nil, fmt.Errorf("logreg: round-2 worst case %.3g exceeds field window %.3g — lower ErrorBits or shrink the dataset", worst, window)
+	}
+
+	// The per-iteration test accuracy and train loss run on sparse views
+	// built once here. Their bit-exactness needs finite weights: the config
+	// is checked above, each step adds a finite de-scaled gradient, and the
+	// clamp below bounds the weights to ±weightCap.
+	trainView, err := newSparseRows(ds.TrainX, ds.Rows, ds.Cols)
+	if err != nil {
+		return nil, nil, err
+	}
+	testView, err := newSparseRows(ds.TestX, ds.TestRows, ds.Cols)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	model := &Model{W: make([]float64, ds.Cols)}
@@ -210,8 +210,8 @@ func TrainDistributed(ctx context.Context, f *field.Field, master cluster.Master
 		series.Records = append(series.Records, metrics.IterationRecord{
 			Iter:            iter,
 			Time:            clock,
-			TestAccuracy:    model.Accuracy(ds.TestX, ds.TestY, ds.TestRows, ds.Cols),
-			TrainLoss:       model.CrossEntropy(ds.TrainX, ds.TrainY, ds.Rows, ds.Cols),
+			TestAccuracy:    testView.accuracy(model.W, ds.TestY),
+			TrainLoss:       trainView.crossEntropy(model.W, ds.TrainY),
 			Breakdown:       b,
 			ByzantineCaught: dedupInts(byz),
 			Recode:          recoded,
@@ -250,6 +250,8 @@ func TrainLocal(ds *dataset.Data, cfg TrainConfig) (*Model, error) {
 	}
 	return model, nil
 }
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func dedupInts(xs []int) []int {
 	if len(xs) == 0 {

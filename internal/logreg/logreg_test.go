@@ -251,4 +251,13 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := TrainLocal(ds, TrainConfig{Iterations: 0}); err == nil {
 		t.Fatal("local 0 iterations accepted")
 	}
+	// The trace evaluator is bit-exact only for finite weights.
+	for _, cfg := range []TrainConfig{
+		{Iterations: 1, LearningRate: math.NaN()},
+		{Iterations: 1, LearningRate: 1e-5, InitialWeight: math.Inf(-1)},
+	} {
+		if _, _, err := TrainDistributed(context.Background(), f, master, ds, cfg); err == nil {
+			t.Fatalf("non-finite config %+v accepted", cfg)
+		}
+	}
 }
